@@ -103,9 +103,10 @@ class DmiTable:
     the transactional tier runs exactly as before.
     """
 
-    def __init__(self, name, memory, metrics, tracer=None, enabled=True):
+    def __init__(self, name, cpu, metrics, tracer=None, enabled=True):
         self.name = name
-        self.memory = memory
+        self.cpu = cpu
+        self.memory = cpu.memory
         self.metrics = metrics
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.enabled = enabled
@@ -113,9 +114,8 @@ class DmiTable:
         self._grants = {}             # (base, size, kind) -> DmiGrant
         self._seq = 0                 # correlation-id counter (traced runs)
         self._pending_smc = []        # store addresses from code listeners
-        self._writing = False         # suppress self-SMC during write_words
         if enabled:
-            memory.add_code_listener(self._on_code_store)
+            self.memory.add_code_listener(self._on_code_store)
 
     # -- grant lifecycle ----------------------------------------------------
 
@@ -202,11 +202,12 @@ class DmiTable:
         invalidations at the next main-thread acquire.  Only stores
         into kernel->guest (``out``) windows matter: guest stores into
         its own ``in`` windows (publishing a result) are the normal
-        producer flow over a coherent view, and the table's own
-        :meth:`write_words` (which notifies the *CPUs'* listeners for
-        decode coherence) is a kernel write, not guest SMC.
+        producer flow over a coherent view.  The table's own
+        :meth:`write_words` never reaches this listener: it keeps decode
+        coherence through :meth:`Cpu.invalidate_code`, which touches
+        only the CPU's caches.
         """
-        if self._writing or not self._grants:
+        if not self._grants:
             return
         for grant in self._grants.values():
             if grant.active and grant.kind == GRANT_OUT \
@@ -239,12 +240,12 @@ class DmiTable:
     def write_words(self, grant, base, values):
         """Write *values* at *base* straight into the guest view.
 
-        Decode coherence is preserved word-precisely: writes landing on
-        watched code pages fire the CPUs' code listeners (stale decodes
-        and compiled blocks covering the written words die), without
-        the transactional stub's whole-cache flush.  The table's own
-        SMC listener is suppressed for the duration — a kernel write
-        through its granted window is the tier working, not guest SMC.
+        Decode coherence is preserved word-precisely, exactly as for the
+        transactional stub's ``M`` writes: :meth:`Cpu.invalidate_code`
+        drops the decodes and compiled blocks covering the written
+        words (queued for the worker under the process backend).  A
+        kernel write through its granted window is the tier working,
+        not guest SMC, so the table's own SMC listener never hears it.
         """
         data = self.memory.data
         for index, value in enumerate(values):
@@ -255,11 +256,7 @@ class DmiTable:
             first = base >> 8
             last = (base + 4 * len(values) - 1) >> 8
             self.memory._dirty.update(range(first, last + 1))
-        self._writing = True
-        try:
-            self.memory.notify_code_write(base, 4 * len(values))
-        finally:
-            self._writing = False
+        self.cpu.invalidate_code(base, 4 * len(values))
         grant.writes += len(values)
         self.metrics.dmi_writes += len(values)
         self.metrics.bump_context(self.name, dmi_writes=len(values))

@@ -592,7 +592,7 @@ class DriverKernelScheme:
             parallel_safe=not reliability and faults is None,
         )
         if dmi and context.parallel_safe:
-            context.dmi = DmiTable(context.name, rtos.cpu.memory,
+            context.dmi = DmiTable(context.name, rtos.cpu,
                                    self.metrics, self.tracer)
             # The guest-side driver consults the table to pick the
             # zero-copy message variants.

@@ -427,7 +427,7 @@ class GdbKernelScheme:
         client = GdbClient(client_end, pump=stub.service_pending,
                            name=label, tracer=self.tracer)
         dmi_safe = not reliability and faults is None
-        dmi_table = (DmiTable(label, cpu.memory, self.metrics, self.tracer)
+        dmi_table = (DmiTable(label, cpu, self.metrics, self.tracer)
                      if dmi and dmi_safe else None)
         driver = TargetDriver(client, stub, cpu, pragma_map, dict(ports),
                               self.metrics, self.tracer, dmi=dmi_table)

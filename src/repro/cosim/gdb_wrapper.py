@@ -69,7 +69,7 @@ class GdbWrapperModule(Module):
         self.parallel_safe = not reliability and faults is None
         # DMI mirrors the parallel-safety contract: fault plans and
         # reliable transports keep the pure transactional tier.
-        self.dmi = (DmiTable(name, cpu.memory, metrics, self.tracer)
+        self.dmi = (DmiTable(name, cpu, metrics, self.tracer)
                     if dmi and self.parallel_safe else None)
         self._watch_cycles = -1
         self._stall_ticks = 0

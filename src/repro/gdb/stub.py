@@ -192,7 +192,7 @@ class GdbStub:
             self.cpu.memory.write_bytes(address, data)
         except Exception:
             return "E02"
-        self.cpu.flush_decode_cache()
+        self.cpu.invalidate_code(address, length)
         return "OK"
 
     def _write_memory_binary(self, payload):
@@ -209,7 +209,7 @@ class GdbStub:
             self.cpu.memory.write_bytes(address, data)
         except Exception:
             return "E02"
-        self.cpu.flush_decode_cache()
+        self.cpu.invalidate_code(address, length)
         return "OK"
 
     def _breakpoint(self, insert, rest):

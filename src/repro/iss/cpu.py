@@ -3,8 +3,8 @@
 A fetch/decode/execute interpreter with:
 
 - per-instruction cycle accounting (see :mod:`repro.iss.isa` costs);
-- a decode cache keyed by address (flushed when the debugger writes
-  code memory);
+- a decode cache keyed by address (invalidated word-precisely when a
+  guest store or a host write lands on decoded code);
 - GDB-style breakpoints (stop *before* the instruction) and
   watchpoints (stop *after* the access);
 - an external interrupt line with an enable flag — delivery itself is
@@ -160,7 +160,11 @@ class Cpu:
     # -- debugger-facing helpers ----------------------------------------------
 
     def flush_decode_cache(self):
-        """Must be called after writing code memory from the host."""
+        """Drop every decode, block and superblock (loader, restore).
+
+        Host writes of a known range use :meth:`invalidate_code`
+        instead, which only pays for the words it overlaps.
+        """
         if self._remote is not None:
             # The worker owns the live caches; it flushes (and counts
             # the invalidations) before its next run, exactly when a
@@ -178,6 +182,26 @@ class Cpu:
         self._superblocks_by_page.clear()
         self._superblock_failed.clear()
         self._code_dirty = True
+
+    def invalidate_code(self, address, length):
+        """Drop cached code a host write of *length* bytes at *address* hit.
+
+        The host-side twin of the guest-store code listener, used by
+        the GDB stub's ``M``/``X`` handlers and the DMI tier's kernel
+        writes: every 4-byte word overlapping the range on a watched
+        code page goes through :meth:`_on_code_store`, so data sharing
+        a page with code keeps every decode, block and superblock.
+        Under the process backend the worker owns the live caches; the
+        range is queued and applied at the top of its next run or sync.
+        """
+        if self._remote is not None:
+            self._remote.pending_code_writes.append((address, length))
+        code_pages = self.memory._code_pages
+        if not code_pages:
+            return
+        for word in range(address & ~3, address + length, 4):
+            if (word >> 8) in code_pages:
+                self._on_code_store(word)
 
     def _on_code_store(self, address):
         """Guest store hit a page holding decoded code: invalidate it.

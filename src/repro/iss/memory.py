@@ -150,24 +150,6 @@ class Memory:
         self._code_listeners.append(listener)
         return listener
 
-    def notify_code_write(self, address, length):
-        """Fire code listeners for a host-side write into watched pages.
-
-        Host-side writers that bypass the counted store paths but must
-        preserve decode coherence (the DMI grant tier writing straight
-        into its view — docs/dmi.md) report the written range here; it
-        fires word by word, exactly as guest stores do, so the CPUs'
-        word-precise invalidation applies rather than a whole-cache
-        flush.
-        """
-        if not self._code_pages:
-            return
-        for offset in range(0, max(length, 1), 4):
-            target = address + offset
-            if (target >> 8) in self._code_pages:
-                for listener in self._code_listeners:
-                    listener(target)
-
     def add_region(self, region):
         """Register an MMIO region; it shadows RAM at its addresses."""
         for existing in self.regions:
@@ -254,7 +236,12 @@ class Memory:
         return bytes(self.data[address:address + length])
 
     def write_bytes(self, address, payload):
-        """Host-side bulk write (loader/debugger; no MMIO dispatch)."""
+        """Host-side bulk write (loader/debugger; no MMIO dispatch).
+
+        Fires no code listeners: host writers keep decode coherence
+        through :meth:`Cpu.invalidate_code` (GDB ``M``/``X``, DMI) or
+        :meth:`Cpu.flush_decode_cache` (loader, restore).
+        """
         self._check(address, max(len(payload), 1))
         self.data[address:address + len(payload)] = payload
         if self._dirty is not None and payload:

@@ -168,6 +168,8 @@ def _worker_main(conn, cpu):
             kind, state, max_instructions, max_cycles = command
             if state.pop("flush", False):
                 cpu.flush_decode_cache()
+            for address, length in state.pop("code_writes", ()):
+                cpu.invalidate_code(address, length)
             cpu.block_trace = state.pop("block_trace", False)
             cpu.use_superblocks = state.pop("use_superblocks", False)
             cpu.block_profiler.hot_threshold = state.pop(
@@ -210,6 +212,7 @@ class RemoteCpu:
         self.conn = conn
         self.timeout = timeout
         self.pending_flush = False
+        self.pending_code_writes = []   # host writes (address, length)
         self.round_trips = 0
         self.detached = False
 
@@ -221,6 +224,11 @@ class RemoteCpu:
         state["hot_threshold"] = self.cpu.block_profiler.hot_threshold
         state["profile"] = self.cpu.block_profiler.state()
         self.pending_flush = False
+        if self.pending_code_writes:
+            # Shipped only when present, so exchanges without host
+            # writes stay byte-identical.
+            state["code_writes"] = self.pending_code_writes
+            self.pending_code_writes = []
         try:
             self.conn.send((kind, state, max_instructions, max_cycles))
             if not self.conn.poll(self.timeout):
@@ -251,7 +259,7 @@ class RemoteCpu:
         return self._exchange("run", max_instructions, max_cycles)
 
     def sync(self):
-        """Apply any pending flush and pull state without executing."""
+        """Apply pending flushes and code writes; pull state, no run."""
         if not self.detached:
             self._exchange("sync")
 

@@ -174,7 +174,10 @@ def compare_reports(current, baseline, tolerance=0.10):
     - ``syncs_per_timestep`` may not exceed the baseline by more than
       *tolerance* (the CI failure condition);
     - ``instructions_per_sync`` is reported informationally when it
-      drops by more than *tolerance* (more syncs for the same work).
+      drops by more than *tolerance* (more syncs for the same work);
+    - ``block_invalidations`` and ``superblock_invalidations`` may not
+      rise at all: host writes invalidate word-precisely, so a rise
+      means compiled code is being thrown away again.
     """
     problems = []
     current_spt = syncs_per_timestep(current)
@@ -198,4 +201,10 @@ def compare_reports(current, baseline, tolerance=0.10):
             problems.append(
                 "instructions-per-sync dropped: %.1f -> %.1f"
                 % (base_ips, cur_ips))
+    for name in ("block_invalidations", "superblock_invalidations"):
+        cur_value = cur_counters.get(name, 0)
+        base_value = base_counters.get(name, 0)
+        if cur_value > base_value:
+            problems.append("%s rose over baseline: %d -> %d"
+                            % (name, base_value, cur_value))
     return problems

@@ -12,6 +12,7 @@ from repro.cosim.dmi import (GRANT_IN, GRANT_OUT, INVALIDATE_BREAKPOINT,
                              DmiTable)
 from repro.cosim.metrics import CosimMetrics
 from repro.iss.breakpoints import BreakpointSet, WatchKind
+from repro.iss.cpu import Cpu
 from repro.iss.memory import Memory
 from repro.obs.tracer import Tracer
 
@@ -19,7 +20,7 @@ from repro.obs.tracer import Tracer
 def make_table(tracer=None, enabled=True):
     memory = Memory(size=1 << 16)
     metrics = CosimMetrics()
-    table = DmiTable("cpu0", memory, metrics, tracer, enabled=enabled)
+    table = DmiTable("cpu0", Cpu(memory), metrics, tracer, enabled=enabled)
     return table, memory, metrics
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.cosim.metrics import CosimMetrics
 from repro.obs.bench import (BenchReporter, BenchRun, OUTPUT_DIR_ENV,
-                             SCHEMA, load_report, sanitize_name)
+                             SCHEMA, compare_reports, load_report,
+                             sanitize_name)
 from repro.obs.profile import SchemeProfile, compare_profiles
 from repro.obs.tracer import Tracer, dump_events
 
@@ -124,6 +125,20 @@ class TestBench:
         assert record["counters"]["messages_sent"] == 3
         assert "scheme" not in record["counters"]
         assert "quarantine_log" not in record["counters"]
+
+    def test_compare_flags_any_invalidation_rise(self):
+        baseline = {"counters": {"block_invalidations": 3,
+                                 "superblock_invalidations": 0}}
+        same = {"counters": dict(baseline["counters"])}
+        assert compare_reports(same, baseline) == []
+        fewer = {"counters": {"block_invalidations": 0}}
+        assert compare_reports(fewer, baseline) == []
+        risen = {"counters": {"block_invalidations": 4,
+                              "superblock_invalidations": 1}}
+        problems = compare_reports(risen, baseline)
+        assert problems == [
+            "block_invalidations rose over baseline: 3 -> 4",
+            "superblock_invalidations rose over baseline: 0 -> 1"]
 
 
 def test_metrics_aggregate_sums_numeric_fields():
