@@ -55,15 +55,23 @@ def test_table1_cell(benchmark, scheme, length, summary, bench_report):
 
 
 def test_table1_speedup_shape(benchmark, summary):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    """The paper's headline claim, asserted (not just printed)."""
+    """The paper's headline claim, asserted (not just printed).
+
+    Each scheme runs once unmeasured to warm up, then is timed best of
+    three, the schemes interleaved so host drift hits them alike.
+    """
     import time
 
-    walls = {}
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     for scheme in SCHEMES:
-        start = time.perf_counter()
         _run(scheme, 4 * MS)
-        walls[scheme] = time.perf_counter() - start
+    walls = dict.fromkeys(SCHEMES, float("inf"))
+    for __ in range(3):
+        for scheme in SCHEMES:
+            start = time.perf_counter()
+            _run(scheme, 4 * MS)
+            walls[scheme] = min(walls[scheme],
+                                time.perf_counter() - start)
     kernel_speedup = walls["gdb-wrapper"] / walls["gdb-kernel"]
     driver_speedup = walls["gdb-wrapper"] / walls["driver-kernel"]
     summary("table1 speedups vs GDB-Wrapper: GDB-Kernel %.2fx "

@@ -36,7 +36,11 @@ memory, no faults, no pc writes, constant cycle cost) are *fused*: the
 register updates are generated as Python source and ``exec``-compiled
 into a single function over the register file, so the per-step
 closure-call, cycle-accumulate and side-exit-test overhead disappears
-for the straight-line majority of hot loop bodies.  Memory steps and
+for the straight-line majority of hot loop bodies.  One ``exec`` per
+superblock compiles each *distinct* body once: the unrolled
+iterations of a loop generate identical text and share one function
+object, so promoting a 256-step CRC-32 chain compiles a handful of
+functions, not one per fused unit.  Memory steps and
 faultable steps stay individual closures with the exact per-step
 accounting and side-exit checks of the block executor, preserving
 observable equivalence (watchpoints, SMC, IRQ delivery, fault pc and
@@ -238,24 +242,35 @@ _BRANCH_EXPRS = {
 
 
 class _CodeBuffer:
-    """Batches every generated function of one superblock.
+    """Batches the distinct generated functions of one superblock.
 
     One ``exec`` per superblock instead of one per fused unit: the
     CPython compile step dominates chain-build time, so batching cuts
-    the warmup cost of promoting a hot loop several-fold.  Fused
-    units carry the generated function's *name* until
+    the warmup cost of promoting a hot loop several-fold.  Bodies are
+    keyed by their text, so the identical iterations of an unrolled
+    loop compile once and share one function object.  That is sound
+    because a fused body is a pure function of the register file: any
+    pc-dependent constant (``jal``'s link value) is part of the text.
+    Fused units carry the generated function's *name* until
     :meth:`compile` resolves them all at once.
     """
 
-    __slots__ = ("chunks",)
+    __slots__ = ("chunks", "names")
 
     def __init__(self):
         self.chunks = []
+        self.names = {}       # body text -> placeholder name
 
     def add(self, body_lines):
-        """Queue one function body; returns its placeholder name."""
-        name = "_f%d" % len(self.chunks)
-        self.chunks.append("def %s(r):\n%s" % (name, "\n".join(body_lines)))
+        """Queue one function body; returns its placeholder name.
+
+        A body already queued returns the name it was given first.
+        """
+        body = "\n".join(body_lines)
+        name = self.names.get(body)
+        if name is None:
+            name = self.names[body] = "_f%d" % len(self.chunks)
+            self.chunks.append("def %s(r):\n%s" % (name, body))
         return name
 
     def compile(self):

@@ -10,12 +10,13 @@ invalidation rule of the word-precise SMC contract.
 
 import pytest
 
+from repro.apps.sources import checksum_routine
 from repro.errors import IssError
-from repro.iss import isa
+from repro.iss import superblocks
 from repro.iss.cpu import TIERS, Cpu, StopReason
 from repro.iss.profile import HOT_THRESHOLD, BlockProfiler
-from repro.iss.superblocks import (MAX_SUPERBLOCK_STEPS, UNIT_PRED,
-                                   build_superblock)
+from repro.iss.superblocks import (MAX_SUPERBLOCK_STEPS, UNIT_MEM, UNIT_OP,
+                                   UNIT_PRED, build_superblock)
 from repro.obs.tracer import Tracer
 from tests.support import make_cpu, run_to_halt
 
@@ -45,6 +46,19 @@ skip:
     bne r0, r1, loop
     halt
 """
+
+# The guest's bitwise CRC-32 routine over a four-word buffer: its bit
+# loop unrolls into a 256-step chain of identical iterations.
+CRC_PROGRAM = """
+    .entry main
+main:
+    la r0, table
+    li r1, 4
+    call checksum_words
+    halt
+%s
+table: .word 287454020, 3735928559, 0, 4294967295
+""" % checksum_routine("crc32")
 
 
 def _hot_cpu(source, threshold=2):
@@ -135,9 +149,34 @@ class TestFormation:
         assert build_superblock(cpu, start) is None
 
 
+    def test_unrolled_loop_compiles_each_body_once(self, monkeypatch):
+        bodies = []
+        add = superblocks._CodeBuffer.add
+
+        def recording_add(buffer, body_lines):
+            bodies.append("\n".join(body_lines))
+            return add(buffer, body_lines)
+
+        monkeypatch.setattr(superblocks._CodeBuffer, "add", recording_add)
+        cpu, prog = _hot_cpu(CRC_PROGRAM)
+        superblock = build_superblock(
+            cpu, prog.symbols.resolve("crc_bit_loop"))
+        fused = [unit[1] for unit in superblock.units
+                 if unit[0] not in (UNIT_MEM, UNIT_OP)]
+        # One add() per fused unit, in unit order.
+        assert len(bodies) == len(fused)
+        for fn, body in zip(fused, bodies):
+            for other_fn, other_body in zip(fused, bodies):
+                assert (fn is other_fn) == (body == other_body)
+        distinct = {id(fn) for fn in fused}
+        assert len(distinct) == len(set(bodies))
+        assert len(fused) >= 32
+        assert len(distinct) <= 5
+
+
 class TestEquivalence:
-    @pytest.mark.parametrize("source", [COUNTER_LOOP, SKIP_LOOP],
-                             ids=["counter", "skip"])
+    @pytest.mark.parametrize("source", [COUNTER_LOOP, SKIP_LOOP, CRC_PROGRAM],
+                             ids=["counter", "skip", "crc32"])
     def test_tiers_agree_to_halt(self, source):
         assert _run_tiers(source)[0] is StopReason.HALT
 
