@@ -129,7 +129,9 @@ class DriverKernelHook(KernelHook):
 
     def on_cycle_begin(self, kernel):
         """Drain driver messages at the start of the cycle (Fig. 5)."""
-        for context in self.active_contexts():
+        for context in self.contexts:
+            if context.quarantined:
+                continue
             try:
                 self.metrics.cheap_polls += 1
                 if context.reliable:
@@ -189,8 +191,8 @@ class DriverKernelHook(KernelHook):
         if self.dispatcher is not None:
             self._advance_parallel(kernel)
             return
-        for context in self.active_contexts():
-            if context.finished:
+        for context in self.contexts:
+            if context.quarantined or context.finished:
                 continue
             binding = context.binding
             if binding.quantum > 1:
@@ -208,15 +210,20 @@ class DriverKernelHook(KernelHook):
         if self.tracer.enabled:
             self.tracer.emit("cosim", "grant", scope=context.name,
                              budget=budget)
-        self.metrics.grants += 1
+        metrics = self.metrics
+        metrics.grants += 1
         try:
             consumed = context.rtos.advance(budget)
         except CosimTransportError as error:
             self._quarantine(context, QUARANTINE_TRANSPORT, error)
             return
-        self.metrics.iss_cycles += consumed
-        self.metrics.bump_context(context.name, iss_cycles=consumed)
-        self._watchdog(context)
+        metrics.iss_cycles += consumed
+        # bump_context(name, iss_cycles=consumed), minus the kwargs
+        # dict: this runs once per context per timestep.
+        bucket = metrics.per_context.setdefault(context.name, {})
+        bucket["iss_cycles"] = bucket.get("iss_cycles", 0) + consumed
+        if self.watchdog_ticks is not None:
+            self._watchdog(context)
 
     def _parallel_eligible(self, context, lockstep=False):
         """May *context*'s RTOS advance run on the pool?

@@ -104,7 +104,9 @@ class GdbKernelHook(KernelHook):
         # "checks ... if the GDB is stopped to a breakpoint ... by
         # checking the content of the data structure of the IPC
         # mechanism used to connect the ISS and the wrapper (a pipe)".
-        for context in self.active_contexts():
+        for context in self.contexts:
+            if context.quarantined:
+                continue
             self.metrics.cheap_polls += 1
             try:
                 if context.driver.needs_attention:
@@ -138,8 +140,8 @@ class GdbKernelHook(KernelHook):
         if self.dispatcher is not None:
             self._advance_parallel(kernel)
             return
-        for context in self.active_contexts():
-            if context.finished:
+        for context in self.contexts:
+            if context.quarantined or context.finished:
                 continue
             binding = context.binding
             if binding.quantum > 1:
@@ -167,7 +169,8 @@ class GdbKernelHook(KernelHook):
         except (CosimTransportError, RemoteWorkerError) as error:
             self._quarantine_error(context, error)
             return
-        self._watchdog(context)
+        if self.watchdog_ticks is not None:
+            self._watchdog(context)
 
     def _parallel_eligible(self, context):
         """May *context*'s next execution stretch run on the pool?

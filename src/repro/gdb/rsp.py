@@ -5,13 +5,39 @@ run-length-free binary escaping (``}`` = 0x7d, escaped byte XOR 0x20).
 Acknowledgement characters (``+``/``-``) are modelled at the transport
 level by re-sending on checksum failure; since our channels are
 reliable, acks are counted but always positive.
+
+Every packet crosses :func:`escape_binary` / :func:`unescape_binary`,
+so both run as compiled ``bytes`` regex substitutions rather than
+per-byte Python loops, and return their input unchanged when it holds
+nothing to rewrite (the common case: hex payloads never do).
 """
+
+import re
 
 from repro.errors import RspError
 
 ESCAPE = 0x7D
 ESCAPE_XOR = 0x20
-_SPECIAL = frozenset((0x23, 0x24, 0x7D))  # '#', '$', '}'
+
+# '#', '$', '}' in a payload; '}' plus the byte it escapes in a body.
+# DOTALL: the escaped byte may be anything, newline included; the
+# byte is optional only so a '}' ending the body still matches.
+_SPECIAL_RE = re.compile(rb"[#$}]")
+_ESCAPED_RE = re.compile(rb"}(.?)", re.DOTALL)
+_ESCAPES = {bytes((byte,)): bytes((ESCAPE, byte ^ ESCAPE_XOR))
+            for byte in b"#$}"}
+_UNESCAPES = [bytes((byte ^ ESCAPE_XOR,)) for byte in range(256)]
+
+
+def _escape_match(match):
+    return _ESCAPES[match.group()]
+
+
+def _unescape_match(match):
+    escaped = match.group(1)
+    if not escaped:
+        raise RspError("dangling escape at end of packet")
+    return _UNESCAPES[escaped[0]]
 
 
 def checksum(payload):
@@ -21,31 +47,23 @@ def checksum(payload):
 
 def escape_binary(payload):
     """Escape '$', '#' and '}' for inclusion in a packet body."""
-    out = bytearray()
-    for byte in payload:
-        if byte in _SPECIAL:
-            out.append(ESCAPE)
-            out.append(byte ^ ESCAPE_XOR)
-        else:
-            out.append(byte)
-    return bytes(out)
+    payload = bytes(payload)
+    if _SPECIAL_RE.search(payload) is None:
+        return payload
+    return _SPECIAL_RE.sub(_escape_match, payload)
 
 
 def unescape_binary(payload):
-    """Inverse of :func:`escape_binary`."""
-    out = bytearray()
-    index = 0
-    while index < len(payload):
-        byte = payload[index]
-        if byte == ESCAPE:
-            index += 1
-            if index >= len(payload):
-                raise RspError("dangling escape at end of packet")
-            out.append(payload[index] ^ ESCAPE_XOR)
-        else:
-            out.append(byte)
-        index += 1
-    return bytes(out)
+    """Inverse of :func:`escape_binary`.
+
+    Escapes pair left to right, so a ``}`` that is itself escaped
+    never starts another pair; a ``}`` left unpaired at the end of the
+    body raises :class:`~repro.errors.RspError`.
+    """
+    payload = bytes(payload)
+    if b"}" not in payload:
+        return payload
+    return _ESCAPED_RE.sub(_unescape_match, payload)
 
 
 def frame(payload):
@@ -53,7 +71,7 @@ def frame(payload):
     if isinstance(payload, str):
         payload = payload.encode("ascii")
     escaped = escape_binary(payload)
-    return b"$" + escaped + b"#" + b"%02x" % checksum(escaped)
+    return b"$%b#%02x" % (escaped, checksum(escaped))
 
 
 def unframe(packet):

@@ -26,6 +26,8 @@ server.
 """
 
 from collections import deque
+from functools import partial
+from operator import itemgetter
 
 #: Default ring capacity: at one point per committed quantum this
 #: covers hours of the pinned scenarios; eviction is counted, never
@@ -220,6 +222,12 @@ class MetricsSampler:
     timesteps (and the local scheme, which has none of this traffic)
     produce no points, which keeps the series per-quantum rather than
     per-timestep and its cost off the no-progress fast path.
+
+    At lock-step every timestep syncs, so every timestep is a point:
+    the sample itself is on the Table 1 hot path.  Its counter layout
+    is therefore resolved once, at construction (see
+    :meth:`_resolve_layout`), and a point costs a few C-level getter
+    calls and one tuple, with no per-sample dicts or attribute lookups.
     """
 
     def __init__(self, system, capacity=DEFAULT_SERIES_CAPACITY):
@@ -231,26 +239,24 @@ class MetricsSampler:
         # t=0 with all-zero counters.
         self._last_progress = 0
         self._bus = None
+        self._resolve_layout(self.series.counters)
 
     def attach_bus(self, bus):
         """Publish every new point as a ``metrics`` bus event."""
         self._bus = bus
         return bus
 
-    def _progress(self):
-        metrics = self.metrics
-        return (metrics.quantum_syncs + metrics.sync_transactions
-                + metrics.grants + metrics.messages_sent
-                + metrics.messages_received)
-
     def sample(self, kernel):
         """Record one point if sync progress was made; returns it."""
-        progress = self._progress()
+        metrics = self.metrics
+        progress = (metrics.quantum_syncs + metrics.sync_transactions
+                    + metrics.grants + metrics.messages_sent
+                    + metrics.messages_received)
         if progress == self._last_progress:
             return None
         self._last_progress = progress
         point = self.series.append(kernel.now, kernel.timestep_count,
-                                   self._values())
+                                   self._values(kernel))
         bus = self._bus
         if bus is not None:
             payload = dict(zip(self.series.counters, point.values))
@@ -259,8 +265,32 @@ class MetricsSampler:
             bus.publish("metrics", payload)
         return point
 
-    def _values(self):
-        """The counter tuple, in :data:`SAMPLED_COUNTERS` order.
+    def _resolve_layout(self, counters):
+        """Resolve, once, how a point's counters are read.
+
+        One getter reads every CosimMetrics field of the series, one
+        the CPU tier counters off each CPU and one the warp counters
+        off each binding (see :func:`_counter_reader`); the per-CPU and
+        per-binding rows are summed column-wise, and one ``itemgetter``
+        puts the row ``metrics + CPU sums + warp sums +
+        (trace_dropped,)`` into the series' counter order.  A system's
+        CPUs and bindings are fixed once it is built, so they are
+        resolved here too.
+        """
+        metric_names = tuple(name for name in counters
+                             if name not in CPU_COUNTERS
+                             and name not in _EXTRA_COUNTERS)
+        row = metric_names + CPU_COUNTERS + WARP_COUNTERS + (
+            "trace_dropped",)
+        self._read_metrics = _counter_reader(metric_names, [self.metrics])
+        self._cpu_sums = _counter_reader(CPU_COUNTERS, self.system.cpus)
+        self._warp_sums = _counter_reader(
+            WARP_COUNTERS,
+            [binding for __, binding in self.system.bindings()])
+        self._place = itemgetter(*[row.index(name) for name in counters])
+
+    def _values(self, kernel):
+        """The counter tuple, in the series' counter order.
 
         CPU tier counters are summed straight off the CPUs (the
         shared-metrics copies lag until the next fold) and warp
@@ -268,29 +298,24 @@ class MetricsSampler:
         before the kernel runs its sinks, so the values are committed
         state under every backend.
         """
-        system = self.system
-        metrics = self.metrics
-        cpu_sums = dict.fromkeys(CPU_COUNTERS, 0)
-        for cpu in system.cpus:
-            for name in CPU_COUNTERS:
-                cpu_sums[name] += getattr(cpu, name)
-        warp_sums = dict.fromkeys(WARP_COUNTERS, 0)
-        for __, binding in system.bindings():
-            warp_sums["warped_syncs"] += binding.warped_syncs
-            warp_sums["warped_cycles"] += binding.warped_cycles
-            warp_sums["warped_steps"] += binding.warped_steps
-        dropped = system.tracer.dropped
-        values = []
-        for name in self.series.counters:
-            if name in cpu_sums:
-                values.append(cpu_sums[name])
-            elif name in warp_sums:
-                values.append(warp_sums[name])
-            elif name == "trace_dropped":
-                values.append(dropped)
-            else:
-                values.append(getattr(metrics, name))
-        return values
+        return self._place((*self._read_metrics(), *self._cpu_sums(),
+                            *self._warp_sums(), kernel.tracer.dropped))
+
+
+def _counter_reader(names, sources):
+    """A callable returning counters *names* (two or more), summed
+    column-wise over the objects *sources* (one or more).
+
+    The counters are plain instance attributes, so one ``itemgetter``
+    reads them straight out of each instance ``__dict__``: that skips
+    the class lookup ``getattr`` makes per name, which was most of a
+    sample's cost.
+    """
+    read_row = itemgetter(*names)
+    namespaces = [vars(source) for source in sources]
+    if len(namespaces) == 1:
+        return partial(read_row, namespaces[0])
+    return lambda: tuple(map(sum, zip(*map(read_row, namespaces))))
 
 
 def _prom_escape(value):

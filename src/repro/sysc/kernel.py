@@ -343,7 +343,13 @@ class Kernel:
         omitted the kernel runs until event starvation or :meth:`stop`.
         *max_deltas* bounds the total number of delta cycles, which
         guards against combinational loops in tests.
+
+        The kernel becomes the current one first: events and signals
+        built without an explicit kernel bind lazily on first use, and
+        must bind to the kernel that runs them, not to whichever was
+        constructed last.
         """
+        set_current_kernel(self)
         end_time = None
         if duration is not None:
             check_duration(duration)

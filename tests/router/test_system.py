@@ -112,3 +112,31 @@ class TestSchemeContrasts:
         second.run(300 * US)
         assert first.stats().generated == second.stats().generated
         assert first.stats().forwarded == second.stats().forwarded
+
+
+class TestBuildOrder:
+    """Events and signals built without a kernel bind to the current
+    one on first use, so running a system must make its own kernel
+    current — otherwise a system built before another runs as a silent
+    no-op on the later system's kernel."""
+
+    @staticmethod
+    def _config(scheme, seed):
+        return RouterConfig(scheme=scheme, seed=seed,
+                            inter_packet_delay=20 * US)
+
+    @pytest.mark.parametrize("scheme",
+                             ["gdb-wrapper", "gdb-kernel", "driver-kernel"])
+    def test_systems_built_together_run_like_solo(self, scheme):
+        solos = []
+        for seed in (42, 7):
+            solo = RouterSystem(self._config(scheme, seed))
+            solo.run(400 * US)
+            solos.append(solo.stats())
+        first = RouterSystem(self._config(scheme, 42))
+        second = RouterSystem(self._config(scheme, 7))
+        first.run(400 * US)
+        second.run(400 * US)
+        assert solos[0].forwarded > 0
+        assert first.stats() == solos[0]
+        assert second.stats() == solos[1]
