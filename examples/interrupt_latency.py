@@ -95,7 +95,7 @@ def measure(cost_scale):
     context = scheme.attach_rtos(
         rtos, {"echo": pinger.echo, "unused_rx": pinger.port}, CPU_HZ)
     driver = CosimPortDriver(1, "dev", ["unused_rx"], "echo", 3,
-                             context.data_socket.b)
+                             context.guest_data_endpoint)
     rtos.register_driver(driver)
     pinger.raise_irq = lambda v: scheme.raise_interrupt(context, v)
     scheme.elaborate()

@@ -152,7 +152,7 @@ def main():
         rtos, {"acc_req": pipeline.acc_req,
                "acc_resp": pipeline.acc_resp}, CPU_HZ)
     driver = CosimPortDriver(1, "acc_dev", ["acc_req"], "acc_resp", 3,
-                             context.data_socket.b)
+                             context.guest_data_endpoint)
     rtos.register_driver(driver)
     pipeline.raise_irq = \
         lambda vector: driver_scheme.raise_interrupt(context, vector)

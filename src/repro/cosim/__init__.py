@@ -16,6 +16,9 @@ ISS of :mod:`repro.iss`:
   (Section 4): a device driver in the guest RTOS exchanges READ/WRITE
   messages with the kernel hook over a data socket, and the kernel posts
   interrupts back over an interrupt socket.
+
+All three share one context lifecycle (:mod:`repro.cosim.context`):
+watchdog, quarantine, quantum batching and the parallel round.
 """
 
 from repro.cosim.channels import Pipe, Socket, Endpoint
@@ -30,8 +33,8 @@ from repro.cosim.pragmas import PragmaMap, build_pragma_map
 from repro.cosim.reliable import (ReliabilityConfig, ReliableEndpoint,
                                   wrap_reliable)
 from repro.cosim.gdb_wrapper import GdbWrapperScheme, GdbWrapperModule
-from repro.cosim.gdb_kernel import GdbKernelScheme, GdbKernelHook
-from repro.cosim.driver_kernel import DriverKernelScheme, DriverKernelHook
+from repro.cosim.gdb_kernel import GdbKernelScheme
+from repro.cosim.driver_kernel import DriverKernelScheme
 from repro.cosim.checkpoint import (CheckpointRunner, RecoveryPolicy,
                                     capture_state, compare_states,
                                     latest_checkpoint, load_checkpoint,
@@ -44,8 +47,8 @@ __all__ = [
     "ClockBinding", "FaultPlan", "FaultyEndpoint", "CosimMetrics",
     "PragmaMap", "build_pragma_map", "ReliabilityConfig",
     "ReliableEndpoint", "wrap_reliable", "GdbWrapperScheme",
-    "GdbWrapperModule", "GdbKernelScheme", "GdbKernelHook",
-    "DriverKernelScheme", "DriverKernelHook", "CheckpointRunner",
+    "GdbWrapperModule", "GdbKernelScheme", "DriverKernelScheme",
+    "CheckpointRunner",
     "RecoveryPolicy", "capture_state", "compare_states",
     "latest_checkpoint", "load_checkpoint", "restore_checkpoint",
     "verify_checkpoint",

@@ -330,18 +330,24 @@ def _common_context_state(name, quarantined, reason, binding, cpu,
 
 
 def _contexts_state(system):
-    scheme_name = system.config.scheme
+    if system.scheme is None:
+        return []
     contexts = []
-    if scheme_name in ("gdb-wrapper", "gdb-kernel"):
-        if scheme_name == "gdb-wrapper":
-            entries = system.scheme.wrappers
+    for entry in system.scheme.contexts:
+        state = _common_context_state(
+            entry.name, entry.quarantined, entry.quarantine_reason,
+            entry.binding, entry.cpu, dmi=entry.dmi)
+        if system.config.scheme == "driver-kernel":
+            state["rtos"] = entry.rtos.state_summary()
+            state["irq_inflight"] = entry.irq_inflight
+            state["activity"] = entry.activity
+            state["transport"] = {
+                "data": _endpoint_state(entry.data_endpoint),
+                "irq": _endpoint_state(entry.irq_endpoint),
+                "guest_data": _endpoint_state(entry.guest_data_endpoint),
+                "guest_irq": _endpoint_state(entry.guest_irq_endpoint),
+            }
         else:
-            entries = system.scheme.hook.contexts
-        for entry in entries:
-            state = _common_context_state(
-                entry.name, entry.quarantined, entry.quarantine_reason,
-                entry.binding, entry.cpu,
-                dmi=getattr(entry, "dmi", None))
             state["driver"] = _driver_state(entry.driver)
             state["client"] = {
                 "transactions": entry.client.transaction_count,
@@ -356,23 +362,7 @@ def _contexts_state(system):
                 "stop_replies_sent": entry.stub.stop_replies_sent,
                 "endpoint": _endpoint_state(entry.stub.endpoint),
             }
-            contexts.append(state)
-    elif scheme_name == "driver-kernel":
-        for entry in system.scheme.hook.contexts:
-            state = _common_context_state(
-                entry.name, entry.quarantined, entry.quarantine_reason,
-                entry.binding, entry.rtos.cpu,
-                dmi=getattr(entry, "dmi", None))
-            state["rtos"] = entry.rtos.state_summary()
-            state["irq_inflight"] = entry.irq_inflight
-            state["activity"] = entry.activity
-            state["transport"] = {
-                "data": _endpoint_state(entry.data_endpoint),
-                "irq": _endpoint_state(entry.irq_endpoint),
-                "guest_data": _endpoint_state(entry.guest_data_endpoint),
-                "guest_irq": _endpoint_state(entry.guest_irq_endpoint),
-            }
-            contexts.append(state)
+        contexts.append(state)
     return contexts
 
 
@@ -524,14 +514,8 @@ class CheckpointRunner:
     def _install_policy(self):
         if self.recovery is None:
             return
-        scheme = self.system.scheme
-        if scheme is None:
-            return
-        hook = getattr(scheme, "hook", None)
-        if hook is not None:
-            hook.crash_policy = self._crash_policy
-        for wrapper in getattr(scheme, "wrappers", ()):
-            wrapper.crash_policy = self._crash_policy
+        if self.system.scheme is not None:
+            self.system.scheme.crash_policy = self._crash_policy
 
     def _crash_policy(self, context_name, code):
         """Scheme callback: elect recovery over quarantine?"""
@@ -578,7 +562,7 @@ class CheckpointRunner:
     def _flush(self):
         """Spend banked budgets once, after the final slice only."""
         scheme = self.system.scheme
-        if scheme is None or not hasattr(scheme, "flush_pending"):
+        if scheme is None:
             return
         while True:
             try:

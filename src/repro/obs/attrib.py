@@ -137,23 +137,18 @@ class AttributionProfiler:
 def attach_attrib(system, profiler=None):
     """Wire a profiler into a built :class:`RouterSystem`.
 
-    Points every CPU (per-tier ``iss.*`` buckets), every scheme hook
-    and every wrapper module (``transport``) at *profiler*; forked
-    process workers predate this call and measure nothing — the
-    master-side blocking exchange is charged as ISS time instead,
-    which is the attribution a master-host profile wants.
+    Points every CPU (per-tier ``iss.*`` buckets) and the scheme
+    (``transport``) at *profiler*; forked process workers predate this
+    call and measure nothing — the master-side blocking exchange is
+    charged as ISS time instead, which is the attribution a
+    master-host profile wants.
     """
     if profiler is None:
         profiler = AttributionProfiler()
     for cpu in system.cpus:
         cpu._attrib = profiler
-    scheme = system.scheme
-    if scheme is not None:
-        hook = getattr(scheme, "hook", None)
-        if hook is not None:
-            hook.attrib = profiler
-        for wrapper in getattr(scheme, "wrappers", ()):
-            wrapper.attrib = profiler
+    if system.scheme is not None:
+        system.scheme.attrib = profiler
     system.attrib = profiler
     return profiler
 

@@ -428,7 +428,7 @@ class RouterSystem:
     def run(self, duration):
         """Advance the co-simulation by *duration* femtoseconds."""
         result = self.kernel.run(duration)
-        if self.scheme is not None and hasattr(self.scheme, "flush_pending"):
+        if self.scheme is not None:
             # Spend any cycle budget still banked by a sync quantum > 1
             # so a run boundary never strands guest execution.
             self.scheme.flush_pending()
@@ -464,7 +464,7 @@ class RouterSystem:
 
     def bindings(self):
         """``(context name, ClockBinding)`` pairs (empty for local)."""
-        if self.scheme is None or not hasattr(self.scheme, "bindings"):
+        if self.scheme is None:
             return []
         return self.scheme.bindings()
 

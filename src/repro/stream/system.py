@@ -80,7 +80,7 @@ class StreamSystem:
             FILTER_DEVICE_ID, "filter_dev",
             rx_ports=[SAMPLES_IN_PORT], tx_port=SAMPLES_OUT_PORT,
             irq_vector=FILTER_IRQ_VECTOR,
-            data_endpoint=context.data_socket.b)
+            data_endpoint=context.guest_data_endpoint)
         self.rtos.register_driver(self.driver)
         self.source.raise_irq = \
             lambda vector: self.scheme.raise_interrupt(context, vector)

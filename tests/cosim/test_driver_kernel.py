@@ -100,7 +100,7 @@ def system(kernel):
     context = scheme.attach_rtos(rtos, device.ports(), CPU_HZ)
     driver = CosimPortDriver(1, "dev", rx_ports=["req"], tx_port="resp",
                              irq_vector=3,
-                             data_endpoint=context.data_socket.b)
+                             data_endpoint=context.guest_data_endpoint)
     rtos.register_driver(driver)
     device.raise_irq = lambda v: scheme.raise_interrupt(context, v)
     scheme.elaborate()
@@ -155,7 +155,7 @@ class TestDriverKernelScheme:
         device = DoublerDevice([11], kernel=kernel)
         context = scheme.attach_rtos(rtos, device.ports(), CPU_HZ)
         driver = CosimPortDriver(1, "dev", ["req"], "resp", 3,
-                                 context.data_socket.b)
+                                 context.guest_data_endpoint)
         rtos.register_driver(driver)
         device.raise_irq = lambda v: scheme.raise_interrupt(context, v)
         scheme.elaborate()
@@ -166,12 +166,11 @@ class TestDriverKernelScheme:
 def _bare_context(kernel, ports):
     """A minimal context for exercising the hook's message handling."""
     from repro.cosim.channels import Pipe
-    from repro.cosim.driver_kernel import _RtosContext
+    from repro.cosim.driver_kernel import RtosContext
 
     pipe = Pipe("unit")
-    context = _RtosContext(name="unit", rtos=None, binding=None)
-    context.ports = dict(ports)
-    context.data_endpoint = pipe.a
+    context = RtosContext(name="unit", cpu=None, rtos=None, binding=None,
+                          ports=dict(ports), data_endpoint=pipe.a)
     return context, pipe.b
 
 
@@ -181,42 +180,42 @@ class TestMessageValidation:
     def test_oversized_iss_out_value_rejected(self, kernel):
         """A port value that does not fit the 32-bit wire format must
         raise instead of being silently masked."""
-        from repro.cosim.driver_kernel import DriverKernelHook
+        from repro.cosim.driver_kernel import DriverKernelScheme
         from repro.cosim.messages import Block, Message, MessageType
         from repro.cosim.ports import IssOutPort
         from repro.errors import CosimError
 
         port = IssOutPort("wide", kernel=kernel)
         port.signal.force(1 << 32)
-        hook = DriverKernelHook(CosimMetrics())
+        hook = DriverKernelScheme(kernel)
         context, __ = _bare_context(kernel, {"wide": port})
         message = Message(MessageType.READ, [Block("wide", b"")], 1)
         with pytest.raises(CosimError, match="32-bit wire format"):
             hook._handle_message(context, message)
 
     def test_negative_iss_out_value_rejected(self, kernel):
-        from repro.cosim.driver_kernel import DriverKernelHook
+        from repro.cosim.driver_kernel import DriverKernelScheme
         from repro.cosim.messages import Block, Message, MessageType
         from repro.cosim.ports import IssOutPort
         from repro.errors import CosimError
 
         port = IssOutPort("neg", kernel=kernel)
         port.signal.force(-1)
-        hook = DriverKernelHook(CosimMetrics())
+        hook = DriverKernelScheme(kernel)
         context, __ = _bare_context(kernel, {"neg": port})
         message = Message(MessageType.READ, [Block("neg", b"")], 1)
         with pytest.raises(CosimError, match="32-bit wire format"):
             hook._handle_message(context, message)
 
     def test_max_u32_still_fits(self, kernel):
-        from repro.cosim.driver_kernel import DriverKernelHook
+        from repro.cosim.driver_kernel import DriverKernelScheme
         from repro.cosim.messages import (Block, Message, MessageType,
                                           unpack_message)
         from repro.cosim.ports import IssOutPort
 
         port = IssOutPort("edge", kernel=kernel)
         port.signal.force(0xFFFFFFFF)
-        hook = DriverKernelHook(CosimMetrics())
+        hook = DriverKernelScheme(kernel)
         context, guest_end = _bare_context(kernel, {"edge": port})
         hook._handle_message(
             context, Message(MessageType.READ, [Block("edge", b"")], 1))
@@ -226,13 +225,13 @@ class TestMessageValidation:
     def test_write_to_iss_out_port_rejected(self, kernel):
         """The driver writing into an iss_out port is a protocol error,
         not a silent type confusion."""
-        from repro.cosim.driver_kernel import DriverKernelHook
+        from repro.cosim.driver_kernel import DriverKernelScheme
         from repro.cosim.messages import Block, Message, MessageType
         from repro.cosim.ports import IssOutPort
         from repro.errors import CosimError
 
         port = IssOutPort("outp", kernel=kernel)
-        hook = DriverKernelHook(CosimMetrics())
+        hook = DriverKernelScheme(kernel)
         context, __ = _bare_context(kernel, {"outp": port})
         message = Message(
             MessageType.WRITE, [Block("outp", (5).to_bytes(4, "little"))], 1)
@@ -240,24 +239,24 @@ class TestMessageValidation:
             hook._handle_message(context, message)
 
     def test_read_from_iss_in_port_rejected(self, kernel):
-        from repro.cosim.driver_kernel import DriverKernelHook
+        from repro.cosim.driver_kernel import DriverKernelScheme
         from repro.cosim.messages import Block, Message, MessageType
         from repro.cosim.ports import IssInPort
         from repro.errors import CosimError
 
         port = IssInPort("inp", kernel=kernel)
-        hook = DriverKernelHook(CosimMetrics())
+        hook = DriverKernelScheme(kernel)
         context, __ = _bare_context(kernel, {"inp": port})
         message = Message(MessageType.READ, [Block("inp", b"")], 1)
         with pytest.raises(CosimError, match="as an iss_out"):
             hook._handle_message(context, message)
 
     def test_unknown_port_still_rejected(self, kernel):
-        from repro.cosim.driver_kernel import DriverKernelHook
+        from repro.cosim.driver_kernel import DriverKernelScheme
         from repro.cosim.messages import Block, Message, MessageType
         from repro.errors import CosimError
 
-        hook = DriverKernelHook(CosimMetrics())
+        hook = DriverKernelScheme(kernel)
         context, __ = _bare_context(kernel, {})
         message = Message(MessageType.READ, [Block("ghost", b"")], 1)
         with pytest.raises(CosimError, match="unknown SystemC port"):

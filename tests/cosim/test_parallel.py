@@ -13,9 +13,12 @@ from repro.cosim.parallel import (BACKENDS, ParallelConfig,
                                   make_dispatcher)
 from repro.errors import CosimError, CosimTransportError
 from repro.iss.remote import RemoteWorkerError
+from repro.obs.scenarios import COSIM_SCHEMES
 from repro.obs.tracer import Tracer
 from repro.router.system import RouterConfig, RouterSystem
 from repro.sysc.simtime import US
+
+from tests.support import wedge_prefetch
 
 
 class TestConfig:
@@ -167,30 +170,51 @@ class TestSchemeDegradation:
 
 
 class TestWorkerQuarantine:
-    def _wedge(self, error):
-        system = _system(sync_quantum=4, num_cpus=2)
-        context = system.scheme.hook.contexts[0]
-
-        def bad_prefetch():
-            raise error
-
-        context.driver.prefetch = bad_prefetch
+    def _wedge(self, error, scheme="gdb-kernel"):
+        system = _system(scheme=scheme, sync_quantum=4, num_cpus=2)
+        context = system.scheme.contexts[0]
+        wedge_prefetch(context, error)
         system.run(200 * US)
         return system, context
 
-    def test_remote_worker_error_quarantines(self):
-        system, context = self._wedge(RemoteWorkerError("worker wedged"))
+    @pytest.mark.parametrize("scheme", COSIM_SCHEMES)
+    def test_remote_worker_error_quarantines(self, scheme):
+        system, context = self._wedge(RemoteWorkerError("worker wedged"),
+                                      scheme)
         assert context.quarantined
         assert context.quarantine_reason == "worker-crash"
         assert system.metrics.contexts_quarantined == 1
         # The healthy sibling context carried the simulation.
-        assert not system.scheme.hook.contexts[1].quarantined
+        assert not system.scheme.contexts[1].quarantined
         system.close()
 
-    def test_transport_error_quarantines(self):
-        system, context = self._wedge(CosimTransportError("link down"))
+    @pytest.mark.parametrize("scheme", COSIM_SCHEMES)
+    def test_transport_error_quarantines(self, scheme):
+        system, context = self._wedge(CosimTransportError("link down"),
+                                      scheme)
         assert context.quarantined
         assert context.quarantine_reason == "transport-error"
+        system.close()
+
+    @pytest.mark.parametrize("scheme", ("gdb-wrapper", "gdb-kernel"))
+    def test_worker_death_at_commit_quarantines(self, scheme):
+        """A forked worker's death surfaces in the commit's stop
+        servicing (``drive(skip_first_execute=True)`` executes again
+        through the stub), not only in the prefetch."""
+        system = _system(scheme=scheme, sync_quantum=4, num_cpus=2)
+        context = system.scheme.contexts[0]
+        drive = context.driver.drive
+
+        def dying_drive(skip_first_execute=False):
+            if skip_first_execute:
+                raise RemoteWorkerError("worker died mid-commit")
+            return drive(skip_first_execute)
+
+        context.driver.drive = dying_drive
+        system.run(200 * US)
+        assert context.quarantined
+        assert context.quarantine_reason == "worker-crash"
+        assert not system.scheme.contexts[1].quarantined
         system.close()
 
     def test_other_errors_propagate(self):

@@ -74,7 +74,7 @@ class TestProtocolViolations:
         and must fail loudly, not hang."""
         system = build_system(scheme="gdb-kernel",
                               inter_packet_delay=40 * US)
-        context = system.scheme.hook.contexts[0]
+        context = system.scheme.contexts[0]
         # Plant a rogue breakpoint on the checksum loop.
         rogue = system.app.symbols.labels["chk_loop"]
         context.client.set_breakpoint(rogue)
@@ -84,10 +84,10 @@ class TestProtocolViolations:
     def test_unknown_port_in_driver_message_raises(self, kernel):
         system = build_system(scheme="driver-kernel",
                               inter_packet_delay=40 * US)
-        context = system.scheme.hook.contexts[0]
+        context = system.scheme.contexts[0]
         bogus = Message(MessageType.WRITE, [Block("no_such_port",
                                                   b"\x00" * 4)])
-        context.data_socket.b.send(pack_message(bogus))
+        context.guest_data_endpoint.send(pack_message(bogus))
         with pytest.raises(CosimError):
             system.run(100 * US)
 
@@ -257,7 +257,7 @@ class TestGracefulDegradation:
         wedged = scheme.attach_rtos(wedged_rtos, {}, CPU_HZ, name="wedged")
         scheme.elaborate()
         kernel.run(600 * US)
-        healthy = scheme.hook.contexts[0]
+        healthy = scheme.contexts[0]
         assert wedged.quarantined
         assert "watchdog" in wedged.quarantine_reason
         assert not healthy.quarantined
@@ -278,7 +278,7 @@ class TestGracefulDegradation:
             faults=FaultPlan(seed=31, drop=0.9))
         scheme.elaborate()
         kernel.run(2 * MS)
-        context = scheme.hook.contexts[0]
+        context = scheme.contexts[0]
         assert context.quarantined
         assert "transport" in context.quarantine_reason
         assert metrics.contexts_quarantined == 1

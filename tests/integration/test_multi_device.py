@@ -139,9 +139,9 @@ def test_two_devices_two_isrs(kernel):
     ports = {"echo_req": echo.req, "echo_resp": echo.resp}
     context = scheme.attach_rtos(rtos, ports, CPU_HZ)
     echo_driver = CosimPortDriver(1, "echo", ["echo_req"], "echo_resp",
-                                  3, context.data_socket.b)
+                                  3, context.guest_data_endpoint)
     timer_driver = CosimPortDriver(2, "timer", [], "echo_resp", 4,
-                                   context.data_socket.b)
+                                   context.guest_data_endpoint)
     rtos.register_driver(echo_driver)
     rtos.register_driver(timer_driver)
     echo.raise_irq = lambda v: scheme.raise_interrupt(context, v)

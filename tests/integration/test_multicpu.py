@@ -162,7 +162,7 @@ class TestHeterogeneousMultiCpu:
         context = driver_scheme.attach_rtos(rtos, driver_device.ports(),
                                             CPU_HZ)
         driver = CosimPortDriver(1, "dev", ["req"], "resp", 3,
-                                 context.data_socket.b)
+                                 context.guest_data_endpoint)
         rtos.register_driver(driver)
         driver_device.raise_irq = \
             lambda v: driver_scheme.raise_interrupt(context, v)

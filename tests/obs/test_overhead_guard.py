@@ -101,14 +101,13 @@ class TestSpanPlumbingIsFreeWhenDisabled:
         for driver in _target_drivers(run):
             assert driver._bp_seq == 0
             assert driver._held_span is None
-        hook = getattr(run.system.scheme, "hook", None)
-        if hook is not None and hasattr(hook, "_irq_seq"):
-            assert hook._irq_seq == {}
+        if scheme == "driver-kernel":
+            assert run.system.scheme._irq_seq == {}
 
     def test_traced_run_allocates_span_ids(self, scheme):
         run = run_traced_scenario(scheme, **_PARAMS)
         if scheme == "driver-kernel":
-            assert run.system.scheme.hook._irq_seq
+            assert run.system.scheme._irq_seq
         else:
             assert any(driver._bp_seq > 0
                        for driver in _target_drivers(run))
@@ -116,11 +115,7 @@ class TestSpanPlumbingIsFreeWhenDisabled:
 
 def _target_drivers(run):
     """Every TargetDriver in *run* (GDB schemes; empty otherwise)."""
-    scheme = run.system.scheme
-    if hasattr(scheme, "wrappers"):            # gdb-wrapper
-        return [wrapper.driver for wrapper in scheme.wrappers]
-    contexts = getattr(getattr(scheme, "hook", None), "contexts", [])
-    return [context.driver for context in contexts
+    return [context.driver for context in run.system.scheme.contexts
             if hasattr(context, "driver")]
 
 

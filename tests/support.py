@@ -35,6 +35,17 @@ def fault_plans(rate=0.02, reorder=0.0, delay_polls=2):
         corrupt=rate, delay=rate, delay_polls=delay_polls))
 
 
+def wedge_prefetch(context, error):
+    """Make a scheme context's pool-side run raise *error*."""
+    def bad_prefetch(*args):
+        raise error
+
+    if hasattr(context, "driver"):
+        context.driver.prefetch = bad_prefetch
+    else:
+        context.rtos.advance = bad_prefetch
+
+
 def make_cpu(source, origin=0, stack_top=None, capture_output=True):
     """Assemble *source*, load it on a fresh CPU with exit/putchar traps.
 

@@ -29,6 +29,8 @@ def _public_members(module):
             continue
         if getattr(member, "__module__", None) != module.__name__:
             continue
+        if getattr(member, "__name__", name) != name:
+            continue    # an alias: documented under its own name
         if inspect.isclass(member):
             classes.append((name, member))
         elif inspect.isfunction(member):
