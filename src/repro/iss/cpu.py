@@ -500,6 +500,8 @@ class Cpu:
         degrades to per-block execution, exactly where quantum
         batching degrades to lock-step.
         """
+        regs = self.regs
+        memory = self.memory
         block_cache = self._block_cache
         breakpoints = self.breakpoints
         profile_counts = self.block_profiler.counts
@@ -531,7 +533,9 @@ class Cpu:
                         (cycle_limit is None
                          or cycle_limit - self.cycles
                          >= superblock.max_cycles):
-                    self._exec_superblock(superblock)
+                    # The generated function commits pc, cycles,
+                    # instructions and its exit counters on every exit.
+                    superblock.run(self, regs, memory)
                     if self._watch_hit is not None:
                         return self._stop(StopReason.WATCHPOINT)
                     if instruction_limit is not None and \
@@ -571,74 +575,6 @@ class Cpu:
                                                 cycle_limit)
                 if stop is not None:
                     return stop
-
-    def _exec_superblock(self, superblock):
-        """Run a whole superblock; limits were prechecked to cover it.
-
-        Accounting is batched in locals and committed once in the
-        ``finally`` clause, so side exits (a mispredicted branch, a
-        watchpoint/SMC/IRQ condition after a memory step, a faulting
-        step) reconcile exact cycles, instructions and pc: every
-        closure that can divert control writes ``cpu.pc`` itself
-        before the exit, and a faulting step contributes neither
-        cycles nor an instruction, exactly like the block executors.
-        """
-        regs = self.regs
-        memory = self.memory
-        self._code_dirty = False
-        cycles = 0
-        retired = 0
-        done = False
-        try:
-            for unit in superblock.units:
-                kind = unit[0]
-                if kind == 4:           # UNIT_FUSED_BRANCH
-                    retired += unit[2]
-                    if unit[1](regs):
-                        cycles += unit[3] + unit[5]
-                        self.pc = next_pc = unit[4]
-                    else:
-                        cycles += unit[3] + unit[7]
-                        self.pc = next_pc = unit[6]
-                    if next_pc != unit[8]:
-                        return
-                elif kind == 0:         # UNIT_ALU: fused pure run
-                    unit[1](regs)
-                    retired += unit[2]
-                    cycles += unit[3]
-                elif kind == 1:         # UNIT_MEM: side-exit checks
-                    cycles += unit[1](self, regs, memory)
-                    retired += 1
-                    if (self._watch_hit is not None
-                            or self._code_dirty
-                            or (self.irq_pending
-                                and self.interrupts_enabled)):
-                        return
-                elif kind == 3:         # UNIT_PRED: if-converted skip
-                    if unit[1](regs):
-                        retired += unit[2]
-                        cycles += unit[3]
-                    else:
-                        retired += unit[4]
-                        cycles += unit[5]
-                else:                   # UNIT_OP
-                    cycles += unit[1](self, regs, memory)
-                    retired += 1
-            done = True
-        finally:
-            self.cycles += cycles
-            self.instructions += retired
-            self.superblock_exits += 1
-            if done:
-                if superblock.end_static is not None:
-                    self.pc = superblock.end_static
-            else:
-                # Guard exit (mispredicted branch, watchpoint/SMC/IRQ
-                # after a memory step, or a faulting step): count it
-                # and remember the site for re-profiling analytics.
-                self.superblock_side_exits += 1
-                sites = self.side_exit_sites
-                sites[superblock.start] = sites.get(superblock.start, 0) + 1
 
     def _exec_block_fast(self, block):
         """Run a whole block; limits were prechecked to cover it.

@@ -12,9 +12,9 @@ reachable through statically-predicted control transfers into one
 - **statically-predicted conditional branches** — backward branches
   predicted taken (the classic loop heuristic, so a counted loop
   unrolls into the superblock), forward branches predicted
-  not-taken.  A mispredicted branch is a **side exit**: the branch
-  closure already set the exact pc and returned the exact cycle cost,
-  so the executor just leaves.
+  not-taken.  A mispredicted branch is a **side exit**: the
+  generated code writes the exact pc, charges the exact cycle cost of
+  the path taken, and leaves.
 - **if-converted short forward skips** — when a forward conditional
   skips a span of provably pure ALU instructions that lies entirely
   inside the next chained block (the ``beq .. skip; a; b; skip:``
@@ -31,26 +31,33 @@ The chain stops at dynamic transfers (``jr``/``jalr``), at
 any armed code-breakpoint address, and at MMIO-resident or
 undecodable code.
 
-Within the superblock, runs of provably pure ALU instructions (no
-memory, no faults, no pc writes, constant cycle cost) are *fused*: the
-register updates are generated as Python source and ``exec``-compiled
-into a single function over the register file, so the per-step
-closure-call, cycle-accumulate and side-exit-test overhead disappears
-for the straight-line majority of hot loop bodies.  One ``exec`` per
-superblock compiles each *distinct* body once: the unrolled
-iterations of a loop generate identical text and share one function
-object, so promoting a 256-step CRC-32 chain compiles a handful of
-functions, not one per fused unit.  Memory steps and
-faultable steps stay individual closures with the exact per-step
-accounting and side-exit checks of the block executor, preserving
-observable equivalence (watchpoints, SMC, IRQ delivery, fault pc and
-counters) instruction for instruction.
+Each superblock compiles into **one generated Python function** over
+``(cpu, regs, memory)``.  Pure ALU instructions (no memory, no faults,
+no pc writes, constant cycle cost) become inline register statements,
+so straight-line code pays no per-step call, accumulate or side-exit
+test.  Predicted branches and if-converted skips become inline
+``if`` statements.  Memory and faultable steps call their block
+closures directly, with the block executor's exact per-step checks,
+preserving observable equivalence (watchpoints, SMC, IRQ delivery,
+fault pc and counters) instruction for instruction.
 
-Cycle/instruction accounting is batched: the executor accumulates in
-locals and commits once at the superblock exit (side exits included —
-the ``finally`` commit reconciles exact cycles and pc).  A superblock
-only runs when the remaining budget provably covers its worst case,
-so it degrades to per-block execution exactly where quantum batching
+An unrolled loop is **re-rolled**: the longest run of repeated units
+(a counted loop's body, unrolled about 32 times into a 256-step
+CRC-32 chain) is emitted once inside a ``for`` loop, so the generated
+text does not grow with unrolling.  Identical text compiles once into
+a bounded process-wide cache, and CPUs that run the same program
+share its code object.
+
+Cycle and instruction accounting is folded into compile-time
+constants: every exit, including one from inside the re-rolled loop,
+commits the static cost of the path it took (plus a pass-index term in
+the loop), and only the dynamic parts (closure cycle costs, the
+if-converted span) accumulate in locals.  Every exit commits ``pc``,
+``cycles``, ``instructions`` and the superblock exit counters itself:
+a mispredicted branch writes its exact pc, and a faulting step
+contributes neither cycles nor an instruction.  A superblock only runs
+when the remaining budget provably covers its worst case, so it
+degrades to per-block execution exactly where quantum batching
 degrades to lock-step.
 
 Invalidation mirrors the block contract word-precisely: the CPU
@@ -59,6 +66,8 @@ guest store overlapping any chained instruction word — or any
 breakpoint change, or a host flush — drops the superblock back to its
 constituent blocks (see ``Cpu._on_code_store``).
 """
+
+import functools
 
 from repro.iss import isa
 
@@ -73,300 +82,328 @@ MAX_SUPERBLOCK_STEPS = 256
 #: Upper bound on chained blocks (unrolled iterations count each time).
 MAX_CHAIN_BLOCKS = 64
 
-#: Execution-unit tags (ints, not strings: the executor dispatches on
-#: them in its inner loop).
-UNIT_ALU = 0      # (UNIT_ALU, fused_fn, count, cycles)
-UNIT_MEM = 1      # (UNIT_MEM, closure) — side-exit checks after
-UNIT_OP = 2       # (UNIT_OP, closure) — faultable / pc-writing
-#: If-converted forward skip: (UNIT_PRED, fn, taken_count,
-#: taken_cycles, fall_count, fall_cycles).  ``fn(regs)`` performs the
-#: leading ALU run, evaluates the branch, and either returns truthy
-#: (taken: span skipped) or runs the span inline and returns falsy;
-#: the executor charges the exact per-path instruction/cycle cost.
-#: No side exit: both architectural paths rejoin inside the
-#: superblock.
-UNIT_PRED = 3
-#: Fused ALU run ending in a statically-predicted conditional branch:
-#: (UNIT_FUSED_BRANCH, fn, count, base_cycles, taken_pc, taken_cycles,
-#:  fall_pc, fall_cycles, predicted_pc).  ``fn(regs)`` performs the
-#: run's register updates and returns the branch comparison; the
-#: executor accounts the exact taken/fall-through cycle cost, writes
-#: the exact pc, and side-exits on a misprediction.
-UNIT_FUSED_BRANCH = 4
+#: Distinct generated superblock sources kept compiled, process-wide.
+MAX_COMPILED_SOURCES = 512
 
 _UNCONDITIONAL = ("jmp", "jal")
 _CONDITIONAL = frozenset(
     ["beq", "bne", "blt", "bge", "bltu", "bgeu"])
 
-# -- fused-ALU code generation ------------------------------------------------
+# -- instruction templates ----------------------------------------------------
 #
-# One source statement per instruction, textually identical in effect
-# to the closure in repro.iss.blocks (same masking, same signedness
-# helper), so fusing cannot change a single register bit.  Only ops
-# with constant cycle cost and no cpu/memory/pc access qualify.
+# One source statement per instruction, identical in effect to the
+# closure in repro.iss.blocks (same masking; the signed view is
+# to_signed32 inlined branchlessly: (x ^ 0x80000000) - 0x80000000 on a
+# masked value), so generating code cannot change a single register
+# bit.  Only ops with constant cycle cost and no cpu/memory/pc access
+# have a template; "" is a no-op.
 
-
-def _t_nop(d):
-    return None
-
-
-def _t_mov(d):
-    return "r[%d] = r[%d]" % (d.rd, d.rs1)
-
-
-def _t_not(d):
-    return "r[%d] = (~r[%d]) & 4294967295" % (d.rd, d.rs1)
-
-
-def _t_add(d):
-    return "r[%d] = (r[%d] + r[%d]) & 4294967295" % (d.rd, d.rs1, d.rs2)
-
-
-def _t_sub(d):
-    return "r[%d] = (r[%d] - r[%d]) & 4294967295" % (d.rd, d.rs1, d.rs2)
-
-
-def _t_mul(d):
-    return "r[%d] = (r[%d] * r[%d]) & 4294967295" % (d.rd, d.rs1, d.rs2)
-
-
-def _t_and(d):
-    return "r[%d] = r[%d] & r[%d]" % (d.rd, d.rs1, d.rs2)
-
-
-def _t_or(d):
-    return "r[%d] = r[%d] | r[%d]" % (d.rd, d.rs1, d.rs2)
-
-
-def _t_xor(d):
-    return "r[%d] = r[%d] ^ r[%d]" % (d.rd, d.rs1, d.rs2)
-
-
-def _t_shl(d):
-    return "r[%d] = (r[%d] << (r[%d] & 31)) & 4294967295" % (
-        d.rd, d.rs1, d.rs2)
-
-
-def _t_shr(d):
-    return "r[%d] = r[%d] >> (r[%d] & 31)" % (d.rd, d.rs1, d.rs2)
-
-
-# Sign conversion inlined branchlessly: to_signed32(x) on a masked
-# 32-bit value is exactly (x ^ 0x80000000) - 0x80000000, and the
-# textual form saves two function calls per use in hot loops.
-_SIGNED = "((r[%d] ^ 2147483648) - 2147483648)"
-
-
-def _t_sar(d):
-    return ("r[%%d] = ((%s >> (r[%%d] & 31)) & 4294967295)"
-            % _SIGNED) % (d.rd, d.rs1, d.rs2)
-
-
-def _t_slt(d):
-    return ("r[%%d] = int(%s < %s)" % (_SIGNED, _SIGNED)) % (
-        d.rd, d.rs1, d.rs2)
-
-
-def _t_sltu(d):
-    return "r[%d] = int(r[%d] < r[%d])" % (d.rd, d.rs1, d.rs2)
-
-
-def _t_addi(d):
-    return "r[%d] = (r[%d] + (%d)) & 4294967295" % (d.rd, d.rs1, d.imm)
-
-
-def _t_andi(d):
-    return "r[%d] = r[%d] & (%d)" % (d.rd, d.rs1, d.imm)
-
-
-def _t_ori(d):
-    return "r[%d] = r[%d] | (%d)" % (d.rd, d.rs1, d.imm)
-
-
-def _t_xori(d):
-    return "r[%d] = r[%d] ^ (%d)" % (d.rd, d.rs1, d.imm)
-
-
-def _t_shli(d):
-    return "r[%d] = (r[%d] << %d) & 4294967295" % (d.rd, d.rs1, d.imm & 31)
-
-
-def _t_shri(d):
-    return "r[%d] = r[%d] >> %d" % (d.rd, d.rs1, d.imm & 31)
-
-
-def _t_li(d):
-    return "r[%d] = %d" % (d.rd, d.imm & _WORD)
-
-
-def _t_lui(d):
-    return "r[%d] = %d" % (d.rd, (d.imm << 16) & _WORD)
-
+_S1 = "((r[{rs1}] ^ 2147483648) - 2147483648)"
+_S2 = "((r[{rs2}] ^ 2147483648) - 2147483648)"
 
 _ALU_TEMPLATES = {
-    "nop": _t_nop,
-    "mov": _t_mov,
-    "not": _t_not,
-    "add": _t_add,
-    "sub": _t_sub,
-    "mul": _t_mul,
-    "and": _t_and,
-    "or": _t_or,
-    "xor": _t_xor,
-    "shl": _t_shl,
-    "shr": _t_shr,
-    "sar": _t_sar,
-    "slt": _t_slt,
-    "sltu": _t_sltu,
-    "addi": _t_addi,
-    "andi": _t_andi,
-    "ori": _t_ori,
-    "xori": _t_xori,
-    "shli": _t_shli,
-    "shri": _t_shri,
-    "li": _t_li,
-    "lui": _t_lui,
+    "nop": "",
+    "mov": "r[{rd}] = r[{rs1}]",
+    "not": "r[{rd}] = (~r[{rs1}]) & 4294967295",
+    "add": "r[{rd}] = (r[{rs1}] + r[{rs2}]) & 4294967295",
+    "sub": "r[{rd}] = (r[{rs1}] - r[{rs2}]) & 4294967295",
+    "mul": "r[{rd}] = (r[{rs1}] * r[{rs2}]) & 4294967295",
+    "and": "r[{rd}] = r[{rs1}] & r[{rs2}]",
+    "or": "r[{rd}] = r[{rs1}] | r[{rs2}]",
+    "xor": "r[{rd}] = r[{rs1}] ^ r[{rs2}]",
+    "shl": "r[{rd}] = (r[{rs1}] << (r[{rs2}] & 31)) & 4294967295",
+    "shr": "r[{rd}] = r[{rs1}] >> (r[{rs2}] & 31)",
+    "sar": "r[{rd}] = (" + _S1 + " >> (r[{rs2}] & 31)) & 4294967295",
+    "slt": "r[{rd}] = int(" + _S1 + " < " + _S2 + ")",
+    "sltu": "r[{rd}] = int(r[{rs1}] < r[{rs2}])",
+    "addi": "r[{rd}] = (r[{rs1}] + ({imm})) & 4294967295",
+    "andi": "r[{rd}] = r[{rs1}] & ({imm})",
+    "ori": "r[{rd}] = r[{rs1}] | ({imm})",
+    "xori": "r[{rd}] = r[{rs1}] ^ ({imm})",
+    "shli": "r[{rd}] = (r[{rs1}] << {shift}) & 4294967295",
+    "shri": "r[{rd}] = r[{rs1}] >> {shift}",
+    "li": "r[{rd}] = {word}",
+    "lui": "r[{rd}] = {upper}",
+}
+
+#: Branch conditions, identical in effect to the ``_branch_factory``
+#: closures in :mod:`repro.iss.blocks`.
+_BRANCH_TESTS = {
+    "beq": "r[{rs1}] == r[{rs2}]",
+    "bne": "r[{rs1}] != r[{rs2}]",
+    "blt": _S1 + " < " + _S2,
+    "bge": _S1 + " >= " + _S2,
+    "bltu": "r[{rs1}] < r[{rs2}]",
+    "bgeu": "r[{rs1}] >= r[{rs2}]",
 }
 
 
-#: Branch comparison expressions, textually identical in effect to the
-#: ``_branch_factory`` closures in :mod:`repro.iss.blocks`.
-_BRANCH_EXPRS = {
-    "beq": lambda d: "r[%d] == r[%d]" % (d.rs1, d.rs2),
-    "bne": lambda d: "r[%d] != r[%d]" % (d.rs1, d.rs2),
-    "blt": lambda d: ("%s < %s" % (_SIGNED, _SIGNED)) % (d.rs1, d.rs2),
-    "bge": lambda d: ("%s >= %s" % (_SIGNED, _SIGNED)) % (d.rs1, d.rs2),
-    "bltu": lambda d: "r[%d] < r[%d]" % (d.rs1, d.rs2),
-    "bgeu": lambda d: "r[%d] >= r[%d]" % (d.rs1, d.rs2),
-}
+def _source(templates, d):
+    """The template for decoded instruction *d*, filled with its fields."""
+    return templates[d.spec.name].format(
+        rd=d.rd, rs1=d.rs1, rs2=d.rs2, imm=d.imm, shift=d.imm & 31,
+        word=d.imm & _WORD, upper=(d.imm << 16) & _WORD)
 
 
-class _CodeBuffer:
-    """Batches the distinct generated functions of one superblock.
-
-    One ``exec`` per superblock instead of one per fused unit: the
-    CPython compile step dominates chain-build time, so batching cuts
-    the warmup cost of promoting a hot loop several-fold.  Bodies are
-    keyed by their text, so the identical iterations of an unrolled
-    loop compile once and share one function object.  That is sound
-    because a fused body is a pure function of the register file: any
-    pc-dependent constant (``jal``'s link value) is part of the text.
-    Fused units carry the generated function's *name* until
-    :meth:`compile` resolves them all at once.
-    """
-
-    __slots__ = ("chunks", "names")
-
-    def __init__(self):
-        self.chunks = []
-        self.names = {}       # body text -> placeholder name
-
-    def add(self, body_lines):
-        """Queue one function body; returns its placeholder name.
-
-        A body already queued returns the name it was given first.
-        """
-        body = "\n".join(body_lines)
-        name = self.names.get(body)
-        if name is None:
-            name = self.names[body] = "_f%d" % len(self.chunks)
-            self.chunks.append("def %s(r):\n%s" % (name, body))
-        return name
-
-    def compile(self):
-        """Compile every queued function; returns the namespace."""
-        namespace = {}
-        exec("\n".join(self.chunks), namespace)
-        return namespace
+# -- compile-time units ------------------------------------------------------
+#
+# The builder first cuts the chain into units: hashable tuples whose
+# first three fields are ``(kind, cycles, retired)``, the unit's static
+# cost on its straight-through path.
+#
+# - ``("alu", cycles, count, statements)``: a run of pure ALU
+#   instructions.
+# - ``("pred", cycles, count, statements, test, span, span_count,
+#   span_cycles)``: an if-converted forward skip.  The static cost is
+#   the skipping path; when *test* holds, the *span* runs and retires
+#   ``span_count`` more instructions for ``span_cycles`` more cycles.
+# - ``("branch", cycles, count, statements, test, exit_pc,
+#   test_cycles)``: an ALU run ending in a statically-predicted
+#   conditional.  When *test* holds the prediction missed: the
+#   superblock side-exits to *exit_pc* having spent *test_cycles* on
+#   the unit.  ``exit_pc`` None marks a branch to its own fall-through,
+#   whose two paths differ only in cost.
+# - ``("mem", 0, 1, closure)`` and ``("op", 0, 1, closure)``: a block
+#   closure whose cycle cost is its return value.  Memory steps are
+#   followed by the watchpoint/SMC/IRQ side-exit check.
+#
+# Equal units behave identically (a closure compares by identity and is
+# bound to its own pc), so a repeated run of units is one loop period.
 
 
-def _compile_fused(buffer, pending, branch=None):
-    """Queue pending ``(statement, cycles)`` pairs as one function.
+def _statements(pending):
+    """The statements and total cycles of ``(statement, cycles)`` pairs."""
+    return (tuple(statement for statement, __ in pending if statement),
+            sum(cycles for __, cycles in pending))
 
-    Without *branch*, returns a ``(UNIT_ALU, name, count, cycles)``
-    unit whose generated function performs every register update
-    inline.  With *branch* — a ``(decoded, branch_pc, fall_pc,
-    predicted)`` tuple — the function additionally returns the branch
-    comparison and the unit is a :data:`UNIT_FUSED_BRANCH` 9-tuple.
-    The ``name`` slot is resolved to the compiled function when the
-    whole superblock's *buffer* compiles.
-    """
-    count = len(pending)
-    cycles = 0
-    lines = []
-    for statement, cost in pending:
-        cycles += cost
-        if statement is not None:
-            lines.append("    " + statement)
-    if branch is None:
-        if not lines:
-            lines.append("    pass")
-    else:
-        decoded, branch_pc, fall_pc, predicted = branch
-        lines.append("    return " + _BRANCH_EXPRS[decoded.spec.name](decoded))
-    name = buffer.add(lines)
-    if branch is None:
-        return (UNIT_ALU, name, count, cycles)
+
+def _alu_unit(pending):
+    statements, cycles = _statements(pending)
+    return ("alu", cycles, len(pending), statements)
+
+
+def _branch_unit(pending, decoded, branch_pc, fall_pc, predicted):
+    """An ALU run plus the statically-predicted conditional ending it."""
+    statements, cycles = _statements(pending)
+    spec = decoded.spec
+    test = _source(_BRANCH_TESTS, decoded)
     target = (branch_pc + 4 + 4 * decoded.imm) & _WORD
-    spec = decoded.spec
-    return (UNIT_FUSED_BRANCH, name, count + 1, cycles,
-            target, spec.cycles + spec.taken_extra,
-            fall_pc, spec.cycles, predicted)
+    count = len(pending) + 1
+    taken = cycles + spec.cycles + spec.taken_extra
+    fall = cycles + spec.cycles
+    if target == fall_pc:
+        return ("branch", fall, count, statements, test, None, taken)
+    if predicted == target:
+        return ("branch", taken, count, statements, "not (%s)" % test,
+                fall_pc, fall)
+    return ("branch", fall, count, statements, test, target, taken)
 
 
-def _compile_predicated(buffer, pending, decoded, span):
-    """Queue an if-converted forward skip as one function.
+def _predicated_unit(pending, decoded, span):
+    """An ALU run plus a forward conditional skipping the pure *span*.
 
-    *pending* is the leading ALU run, *decoded* the forward
-    conditional, *span* the ``(statement, cycles)`` pairs of the
-    skipped pure-ALU region.  Returns a :data:`UNIT_PRED` 6-tuple; the
-    function retires/charges are split per architectural path so the
-    accounting matches the interpreter bit for bit.
+    The two architectural paths rejoin inside the superblock, so there
+    is no side exit; each path retires and charges exactly what the
+    interpreter would.
     """
-    cycles = 0
-    lines = []
-    for statement, cost in pending:
-        cycles += cost
-        if statement is not None:
-            lines.append("    " + statement)
-    lines.append("    if %s:" % _BRANCH_EXPRS[decoded.spec.name](decoded))
-    lines.append("        return 1")
-    span_cycles = 0
-    for statement, cost in span:
-        span_cycles += cost
-        if statement is not None:
-            lines.append("    " + statement)
-    lines.append("    return 0")
+    statements, cycles = _statements(pending)
+    span_statements, span_cycles = _statements(span)
     spec = decoded.spec
-    count = len(pending)
-    return (UNIT_PRED, buffer.add(lines),
-            count + 1, cycles + spec.cycles + spec.taken_extra,
-            count + 1 + len(span), cycles + spec.cycles + span_cycles)
+    return ("pred", cycles + spec.cycles + spec.taken_extra,
+            len(pending) + 1, statements,
+            "not (%s)" % _source(_BRANCH_TESTS, decoded),
+            span_statements, len(span), span_cycles - spec.taken_extra)
 
 
-def _skip_span(cpu, fall_pc, target, next_block):
-    """The skipped region as fused statements, or None.
+# -- code generation ----------------------------------------------------------
+
+
+def _find_loop(units):
+    """The repetition that saves the most text: ``(prefix, period, passes)``.
+
+    ``units[prefix:prefix + period]`` repeats *passes* times back to
+    back; *passes* is 0 when no run of units repeats.  Candidate
+    periods are the distances between consecutive equal units, so any
+    period holding some unit once is found; the shortest period and
+    the earliest start win ties.
+    """
+    ids = {}
+    keys = [ids.setdefault(unit, len(ids)) for unit in units]
+    last_seen = {}
+    periods = set()
+    for index, key in enumerate(keys):
+        if key in last_seen:
+            periods.add(index - last_seen[key])
+        last_seen[key] = index
+    best = (0, 0, 0)
+    saved = 0
+    for period in sorted(periods):
+        run = 0
+        for index in range(period, len(keys)):
+            if keys[index] != keys[index - period]:
+                run = 0
+                continue
+            run += 1
+            passes = 1 + run // period
+            if (passes - 1) * period > saved:
+                saved = (passes - 1) * period
+                best = (index + 1 - run - period, period, passes)
+    return best
+
+
+def _count(value, per_pass):
+    """Source for a static count that grows by *per_pass* each loop pass."""
+    if per_pass:
+        return "%d + %d * i" % (value, per_pass)
+    return "%d" % value
+
+
+def _emit(units, out, pad, start, spent, per_pass, params):
+    """Append the source of *units* to *out*; returns the static cost.
+
+    *spent* is the static ``(cycles, retired)`` before the first unit
+    and *per_pass* the static cost of one pass of the enclosing loop
+    (zeros outside one), so an exit in pass ``i`` charges ``spent + i *
+    per_pass`` plus the dynamic ``cy``/``n``.  *params* maps each
+    called closure to its argument name.
+    """
+    cycles, retired = spent
+
+    def leave(unit_cycles, unit_retired):
+        return "_exit(cpu, %d, cy + %s, n + %s)" % (
+            start, _count(cycles + unit_cycles, per_pass[0]),
+            _count(retired + unit_retired, per_pass[1]))
+
+    for unit in units:
+        kind = unit[0]
+        if kind in ("mem", "op"):
+            name = params.setdefault(unit[3], "c%d" % len(params))
+            # A faulting step contributes neither cycles nor an
+            # instruction; its closure already wrote cpu.pc.
+            out += [pad + "try:",
+                    pad + "    cy += %s(cpu, r, memory)" % name,
+                    pad + "except BaseException:",
+                    pad + "    " + leave(0, 0),
+                    pad + "    raise"]
+            if kind == "mem":
+                out += [pad + "if (cpu._watch_hit is not None"
+                              " or cpu._code_dirty",
+                        pad + "        or (cpu.irq_pending"
+                              " and cpu.interrupts_enabled)):",
+                        pad + "    return " + leave(0, 1)]
+        else:
+            out += [pad + statement for statement in unit[3]]
+            if kind == "pred":
+                out.append(pad + "if %s:" % unit[4])
+                out += [pad + "    " + statement for statement in unit[5]]
+                out.append(pad + "    n += %d" % unit[6])
+                if unit[7]:
+                    out.append(pad + "    cy += %d" % unit[7])
+            elif kind == "branch" and unit[5] is None:
+                out += [pad + "if %s:" % unit[4],
+                        pad + "    cy += %d" % (unit[6] - unit[1])]
+            elif kind == "branch":
+                out += [pad + "if %s:" % unit[4],
+                        pad + "    cpu.pc = %d" % unit[5],
+                        pad + "    return " + leave(unit[6], unit[2])]
+        cycles += unit[1]
+        retired += unit[2]
+    return cycles, retired
+
+
+def _generate(start, units, end_pc):
+    """The source of one superblock and the closures it takes.
+
+    The source defines ``_make(c0, c1, ...)``, which binds the block
+    closures the units call and returns the superblock function.  The
+    longest repeated run of units is emitted once inside a ``for``
+    loop, so the text does not grow with unrolling.
+    """
+    params = {}
+    body = []
+    pad = " " * 8
+    prefix, period, passes = _find_loop(units)
+    spent = _emit(units[:prefix], body, pad, start, (0, 0), (0, 0), params)
+    if passes:
+        loop = units[prefix:prefix + period]
+        per_pass = (sum(unit[1] for unit in loop),
+                    sum(unit[2] for unit in loop))
+        lines = []
+        _emit(loop, lines, pad + "    ", start, spent, per_pass, params)
+        if lines:
+            body.append(pad + "for i in range(%d):" % passes)
+            body += lines
+        spent = (spent[0] + passes * per_pass[0],
+                 spent[1] + passes * per_pass[1])
+        prefix += passes * period
+    spent = _emit(units[prefix:], body, pad, start, spent, (0, 0), params)
+    head = ["def _make(%s):" % ", ".join(params.values()),
+            "    def superblock(cpu, r, memory):",
+            pad + "cy = n = 0"]
+    if any(unit[0] == "mem" for unit in units):
+        # The SMC check after each memory step reads this flag.
+        head.append(pad + "cpu._code_dirty = False")
+    if end_pc is not None:
+        body.append(pad + "cpu.pc = %d" % end_pc)
+    body += [pad + "cpu.cycles += cy + %d" % spent[0],
+             pad + "cpu.instructions += n + %d" % spent[1],
+             pad + "cpu.superblock_exits += 1",
+             "    return superblock"]
+    return "\n".join(head + body), tuple(params)
+
+
+def _side_exit(cpu, start, cycles, retired):
+    """Commit a guard exit of the superblock at *start*.
+
+    Counts the exit and remembers its site for re-profiling analytics
+    (``Cpu.side_exit_sites``).
+    """
+    cpu.cycles += cycles
+    cpu.instructions += retired
+    cpu.superblock_exits += 1
+    cpu.superblock_side_exits += 1
+    sites = cpu.side_exit_sites
+    sites[start] = sites.get(start, 0) + 1
+
+
+@functools.lru_cache(maxsize=MAX_COMPILED_SOURCES)
+def _compile(source):
+    """Compile generated *source* once; returns ``(source, _make)``.
+
+    Shared by every CPU in the process: CPUs running the same program
+    generate the same text, so they share one code object.  Sharing is
+    safe because ``_make`` holds no state: each call binds the calling
+    superblock's own closures into a fresh function.
+    """
+    namespace = {"_exit": _side_exit}
+    exec(compile(source, "<superblock>", "exec"), namespace)
+    return source, namespace["_make"]
+
+
+def _alu_steps(cpu, block):
+    """Each step of *block* as ``(statement, cycles)``, None if not pure."""
+    steps = []
+    for index in range(block.count):
+        decoded = cpu._decode_at((block.start + 4 * index) & _WORD)
+        steps.append((_source(_ALU_TEMPLATES, decoded), decoded.spec.cycles)
+                     if decoded.spec.name in _ALU_TEMPLATES else None)
+    return steps
+
+
+def _skip_span(fall_pc, target, next_steps):
+    """The skipped region's ``(statement, cycles)`` steps, or None.
 
     If-conversion requires the span ``[fall_pc, target)`` to consist
     entirely of pure ALU-template instructions *and* to lie entirely
-    within *next_block* (the chained fall-through block).  The block
-    compiler already cut *next_block* before any breakpoint, MMIO or
-    undecodable word, so a span that passes the length check is
-    guaranteed free of stop conditions — skipping or running it can
-    never hide an architecturally visible event.
+    within the chained fall-through block, whose :func:`_alu_steps` are
+    *next_steps*.  The block compiler already cut that block before any
+    breakpoint, MMIO or undecodable word, so a span that passes the
+    length check is guaranteed free of stop conditions — skipping or
+    running it can never hide an architecturally visible event.
     """
-    span_words = (target - fall_pc) >> 2
-    if span_words > next_block.count:
+    span = next_steps[:(target - fall_pc) >> 2]
+    if len(span) < (target - fall_pc) >> 2 or None in span:
         return None
-    span = []
-    address = fall_pc
-    for __ in range(span_words):
-        decoded = cpu._decode_at(address)
-        template = _ALU_TEMPLATES.get(decoded.spec.name)
-        if template is None:
-            return None
-        span.append((template(decoded), decoded.spec.cycles))
-        address = (address + 4) & _WORD
     return span
 
 
@@ -374,26 +411,26 @@ def _skip_span(cpu, fall_pc, target, next_block):
 
 
 class Superblock:
-    """A chain of basic blocks compiled into one execution-unit list.
+    """A chain of basic blocks compiled into one generated function.
 
-    ``units`` is a tuple of tagged execution units (see ``UNIT_*``);
+    ``run(cpu, regs, memory)`` executes the whole chain and commits
+    ``pc``, ``cycles``, ``instructions`` and the superblock exit
+    counters itself on every exit; ``source`` is its generated text.
     ``count``/``max_cycles`` bound the whole chain for the budget
     precheck; ``ranges`` are the deduplicated ``(start, end)`` address
-    spans of the constituent blocks (word-precise invalidation);
-    ``end_static`` is the fall-through pc to install on full
-    completion when the final step does not write ``cpu.pc`` itself.
+    spans of the constituent blocks (word-precise invalidation).
     """
 
-    __slots__ = ("start", "units", "count", "max_cycles", "end_static",
+    __slots__ = ("start", "run", "source", "count", "max_cycles",
                  "ranges", "pages", "block_starts")
 
-    def __init__(self, start, units, count, max_cycles, end_static,
-                 ranges, block_starts):
+    def __init__(self, start, run, source, count, max_cycles, ranges,
+                 block_starts):
         self.start = start
-        self.units = units
+        self.run = run
+        self.source = source
         self.count = count
         self.max_cycles = max_cycles
-        self.end_static = end_static
         self.ranges = ranges
         self.pages = tuple(sorted(set(
             page for begin, end in ranges
@@ -470,9 +507,13 @@ def build_superblock(cpu, start):
         return None
 
     units = []
-    buffer = _CodeBuffer()
     max_cycles = 0
-    pending = []          # (statement, cycles) run awaiting fusion
+    pending = []          # (statement, cycles) run awaiting a unit
+    alu_steps = {}        # block start -> _alu_steps: unrolled passes
+                          # revisit the same blocks
+    for block, __ in chained:
+        if block.start not in alu_steps:
+            alu_steps[block.start] = _alu_steps(cpu, block)
     last_position = len(chained) - 1
     next_skip = 0         # leading steps of the next block already
                           # emitted inside an if-converted unit
@@ -482,71 +523,69 @@ def build_superblock(cpu, start):
         next_skip = 0
         address = (block.start + 4 * skip) & _WORD
         last_index = block.count - 1
+        steps = alu_steps[block.start]
         for index in range(skip, block.count):
             closure, is_mem, _static_pc = block.steps[index]
+            if steps[index] is not None:
+                pending.append(steps[index])
+                address = (address + 4) & _WORD
+                continue
             decoded = cpu._decode_at(address)
             name = decoded.spec.name
-            if name in _ALU_TEMPLATES:
-                pending.append((_ALU_TEMPLATES[name](decoded),
-                                decoded.spec.cycles))
-            elif (predicted is not None and index == last_index
+            if (predicted is not None and index == last_index
                     and name in _CONDITIONAL):
                 target = (address + 4 + 4 * decoded.imm) & _WORD
                 span = None
                 if (predicted == block.end and target > block.end
                         and position != last_position):
-                    span = _skip_span(cpu, block.end, target,
-                                      chained[position + 1][0])
+                    span = _skip_span(
+                        block.end, target,
+                        alu_steps[chained[position + 1][0].start])
                 if span is not None:
                     # If-conversion: predicate the skipped span
                     # instead of predicting the branch — no side
                     # exit either way.
-                    units.append(_compile_predicated(
-                        buffer, pending, decoded, span))
+                    units.append(_predicated_unit(pending, decoded, span))
                     next_skip = len(span)
                 else:
-                    # Statically-predicted branch: absorb it (and any
-                    # pending ALU run) into one generated function.
-                    units.append(_compile_fused(
-                        buffer, pending,
-                        (decoded, address, block.end, predicted)))
+                    units.append(_branch_unit(pending, decoded, address,
+                                              block.end, predicted))
                 pending = []
             elif (name in _UNCONDITIONAL and position != last_position
                     and index == last_index):
                 # A chained jmp/jal's pc write is dead — the next unit
                 # continues at the compile-time target, and every exit
                 # path writes the exact pc itself.  jal's link-register
-                # write stays, fused as a plain constant store.
+                # write stays, as a plain constant store.
                 if name == "jal":
                     pending.append((
                         "r[%d] = %d" % (isa.REG_LR, (address + 4) & _WORD),
                         decoded.spec.cycles))
                 else:
-                    pending.append((None, decoded.spec.cycles))
+                    pending.append(("", decoded.spec.cycles))
             else:
                 if pending:
-                    units.append(_compile_fused(buffer, pending))
+                    units.append(_alu_unit(pending))
                     pending = []
-                if is_mem:
-                    units.append((UNIT_MEM, closure))
-                else:
-                    units.append((UNIT_OP, closure))
+                units.append(("mem" if is_mem else "op", 0, 1, closure))
             address = (address + 4) & _WORD
     if pending:
-        units.append(_compile_fused(buffer, pending))
+        units.append(_alu_unit(pending))
 
-    # One exec for the whole chain: resolve each fused unit's function
-    # name against the batch-compiled namespace.
-    namespace = buffer.compile()
-    units = [unit if unit[0] in (UNIT_MEM, UNIT_OP)
-             else (unit[0], namespace[unit[1]]) + unit[2:]
-             for unit in units]
-
-    final_block = chained[-1][0]
-    end_static = (final_block.end
-                  if final_block.steps[-1][2] is not None else None)
+    # On full completion the pc is the final block's fall-through, the
+    # final branch's predicted target, or whatever the final closure
+    # (jr, jalr, sys, a memory step, ...) wrote itself.
+    final_block, final_predicted = chained[-1]
+    if final_block.steps[-1][2] is not None:
+        end_pc = final_block.end
+    elif units[-1][0] == "branch":
+        end_pc = final_predicted
+    else:
+        end_pc = None
+    source, closures = _generate(start, units, end_pc)
+    source, make = _compile(source)
     ranges = tuple(sorted(set(
         (block.start, block.end) for block, _predicted in chained)))
     block_starts = tuple(block.start for block, _predicted in chained)
-    return Superblock(start, tuple(units), total_steps, max_cycles,
-                      end_static, ranges, block_starts)
+    return Superblock(start, make(*closures), source, total_steps,
+                      max_cycles, ranges, block_starts)

@@ -11,12 +11,13 @@ invalidation rule of the word-precise SMC contract.
 import pytest
 
 from repro.apps.sources import checksum_routine
-from repro.errors import IssError
+from repro.errors import IssError, MemoryAccessError
 from repro.iss import superblocks
+from repro.iss.breakpoints import WatchKind
 from repro.iss.cpu import TIERS, Cpu, StopReason
+from repro.iss.memory import MmioRegion
 from repro.iss.profile import HOT_THRESHOLD, BlockProfiler
-from repro.iss.superblocks import (MAX_SUPERBLOCK_STEPS, UNIT_MEM, UNIT_OP,
-                                   UNIT_PRED, build_superblock)
+from repro.iss.superblocks import MAX_SUPERBLOCK_STEPS, build_superblock
 from repro.obs.tracer import Tracer
 from tests.support import make_cpu, run_to_halt
 
@@ -69,21 +70,31 @@ def _hot_cpu(source, threshold=2):
     return cpu, prog
 
 
-def _run_tiers(source, arm=None, **run_kwargs):
-    """Run *source* on every tier; all must agree with the interpreter."""
-    results = []
+def _exits(cpu):
+    return (cpu.superblock_exits, cpu.superblock_side_exits,
+            dict(cpu.side_exit_sites))
+
+
+def _drive_tiers(source, drive, arm=None):
+    """Drive *source* on every tier; returns the superblock-tier CPU.
+
+    ``drive(cpu)`` returns what the run observed (stop reasons, a fault
+    message); it and the final registers, pc, cycles and instructions
+    must match the interpreter on every tier.
+    """
+    outcomes = []
     for tier in TIERS:
         cpu, prog, __ = make_cpu(source)
         cpu.tier = tier
         cpu.block_profiler.hot_threshold = 2
         if arm is not None:
             arm(cpu, prog)
-        reason = cpu.run(**run_kwargs)
-        results.append((reason, list(cpu.regs), cpu.pc, cpu.cycles,
-                        cpu.instructions))
-    assert results[1] == results[0]
-    assert results[2] == results[0]
-    return results[0]
+        observed = drive(cpu)
+        outcomes.append((observed, list(cpu.regs), cpu.pc, cpu.cycles,
+                         cpu.instructions))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+    return cpu
 
 
 class TestPromotion:
@@ -134,10 +145,28 @@ class TestFormation:
         assert superblock.count <= MAX_SUPERBLOCK_STEPS
 
     def test_forward_skip_is_if_converted(self):
-        cpu, prog = _hot_cpu(SKIP_LOOP)
-        superblock = build_superblock(cpu, prog.symbols.resolve("loop"))
-        assert superblock is not None
-        assert any(unit[0] == UNIT_PRED for unit in superblock.units)
+        # The CRC bit loop's data-dependent skip of the polynomial xor
+        # goes both ways within one run of the chain, yet never exits.
+        cpu, prog = _hot_cpu(CRC_PROGRAM)
+        start = prog.symbols.resolve("crc_bit_loop")
+        superblock = build_superblock(cpu, start)
+        cpu.pc = start
+        cpu.regs[2] = 0x12345678      # crc: mixed low bits
+        cpu.regs[6] = 1000            # bit counter: never leaves the loop
+        state = list(cpu.regs)
+        superblock.run(cpu, cpu.regs, cpu.memory)
+        assert cpu.superblock_exits == 1
+        assert cpu.superblock_side_exits == 0
+        assert cpu.pc == start
+        # 32 passes of 5 (skip) or 8 (xor) instructions: both ran.
+        assert 5 * 32 < cpu.instructions < 8 * 32
+        reference, __, __ = make_cpu(CRC_PROGRAM)
+        reference.tier = "interp"
+        reference.pc = start
+        reference.regs[:] = state
+        reference.run(max_instructions=cpu.instructions)
+        assert (reference.regs, reference.pc, reference.cycles) \
+            == (cpu.regs, cpu.pc, cpu.cycles)
 
     def test_chain_never_crosses_breakpoint(self):
         cpu, prog = _hot_cpu(COUNTER_LOOP)
@@ -150,42 +179,46 @@ class TestFormation:
 
 
     def test_unrolled_loop_compiles_each_body_once(self, monkeypatch):
-        bodies = []
-        add = superblocks._CodeBuffer.add
-
-        def recording_add(buffer, body_lines):
-            bodies.append("\n".join(body_lines))
-            return add(buffer, body_lines)
-
-        monkeypatch.setattr(superblocks._CodeBuffer, "add", recording_add)
         cpu, prog = _hot_cpu(CRC_PROGRAM)
-        superblock = build_superblock(
-            cpu, prog.symbols.resolve("crc_bit_loop"))
-        fused = [unit[1] for unit in superblock.units
-                 if unit[0] not in (UNIT_MEM, UNIT_OP)]
-        # One add() per fused unit, in unit order.
-        assert len(bodies) == len(fused)
-        for fn, body in zip(fused, bodies):
-            for other_fn, other_body in zip(fused, bodies):
-                assert (fn is other_fn) == (body == other_body)
-        distinct = {id(fn) for fn in fused}
-        assert len(distinct) == len(set(bodies))
-        assert len(fused) >= 32
-        assert len(distinct) <= 5
+        start = prog.symbols.resolve("crc_bit_loop")
+        superblock = build_superblock(cpu, start)
+        source = superblock.source
+        # The bit loop unrolls 32 times; its period is generated once.
+        assert superblock.count == MAX_SUPERBLOCK_STEPS
+        assert source.count("for i in range(") == 1
+        assert "for i in range(32):" in source
+        assert source.count("r[2] = r[2] >> 1") == 1
+        # CPUs running the same program share one compiled code object.
+        other, __ = _hot_cpu(CRC_PROGRAM)
+        twin = build_superblock(other, start)
+        assert twin.source == source
+        assert twin.run is not superblock.run
+        assert twin.run.__code__ is superblock.run.__code__
+        # More unrolling does not make the text any longer.
+        monkeypatch.setattr(superblocks, "MAX_SUPERBLOCK_STEPS",
+                            2 * MAX_SUPERBLOCK_STEPS)
+        monkeypatch.setattr(superblocks, "MAX_CHAIN_BLOCKS",
+                            2 * superblocks.MAX_CHAIN_BLOCKS)
+        longer = build_superblock(cpu, start)
+        assert longer.count == 2 * superblock.count
+        assert "for i in range(64):" in longer.source
+        assert len(longer.source) == len(source)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("source", [COUNTER_LOOP, SKIP_LOOP, CRC_PROGRAM],
                              ids=["counter", "skip", "crc32"])
     def test_tiers_agree_to_halt(self, source):
-        assert _run_tiers(source)[0] is StopReason.HALT
+        cpu = _drive_tiers(source, lambda cpu: cpu.run())
+        assert cpu.last_stop is StopReason.HALT
 
     def test_misprediction_side_exit_is_exact(self):
         # Stop mid-flight: the unrolled loop's final mispredicted
         # branch (and the instruction-limit stop) land on identical
         # pc/cycles/instructions in every tier.
-        assert _run_tiers(COUNTER_LOOP, max_instructions=150)[0] \
-            is StopReason.INSTRUCTION_LIMIT
+        cpu = _drive_tiers(COUNTER_LOOP,
+                           lambda cpu: cpu.run(max_instructions=150))
+        assert cpu.last_stop is StopReason.INSTRUCTION_LIMIT
 
     def test_budget_precheck_degrades_to_blocks(self):
         states = []
@@ -218,16 +251,172 @@ class TestEquivalence:
             halt
         buf:
         """ + "    .word 0\n" * 40
-        from repro.iss.breakpoints import WatchKind
 
         def arm(cpu, prog):
             watched = prog.symbols.variable_address("buf") + 4 * 20
             cpu.breakpoints.add_watch(watched, kind=WatchKind.WRITE)
 
-        reason, regs, _pc, _cycles, _instructions = _run_tiers(
-            source, arm=arm)
-        assert reason is StopReason.WATCHPOINT
-        assert regs[0] == 20
+        cpu = _drive_tiers(source, lambda cpu: cpu.run(), arm=arm)
+        assert cpu.last_stop is StopReason.WATCHPOINT
+        assert cpu.regs[0] == 20
+        # The hit lands in a pass of the re-rolled loop.
+        assert _exits(cpu) == EXPECTED_WATCH_EXITS
+
+
+# A load walking off the end of the 1 MiB memory in 64 KiB strides:
+# pass 16 of the loop faults.
+FAULT_LOOP = """
+    li r0, 0
+    lui r8, 1
+    li r3, 0
+    li r4, 100
+loop:
+    lw r5, [r0]
+    add r2, r2, r5
+    add r0, r0, r8
+    addi r4, r4, -1
+    bne r4, r3, loop
+    halt
+"""
+
+# A store pointer walks through an eight-word buffer into the loop's
+# own code: pass 8 patches the first loop word, pass 9 the store itself.
+SMC_LOOP = """
+    la r10, buf
+    la r11, patch
+    lw r9, [r11]
+    li r0, 0
+    li r4, 40
+    b loop
+buf:
+""" + "    .word 0\n" * 8 + """
+loop:
+    addi r2, r2, 1
+    sw r9, [r10]
+    addi r10, r10, 4
+    addi r0, r0, 1
+    bne r0, r4, loop
+    halt
+patch:
+    addi r2, r2, 100
+"""
+
+# Each pass stores its counter to a device register; the device raises
+# the IRQ line when it sees 20.
+IRQ_BASE = 0xF0000
+IRQ_LOOP = """
+    li32 r12, %d
+    li r0, 0
+    li r4, 60
+loop:
+    addi r0, r0, 1
+    sw r0, [r12]
+    xor r2, r2, r0
+    bne r0, r4, loop
+    halt
+""" % IRQ_BASE
+
+
+class _IrqDevice(MmioRegion):
+    def __init__(self, cpu):
+        super().__init__(IRQ_BASE, 4, "irq")
+        self.cpu = cpu
+
+    def store_word(self, offset, value):
+        if value == 20:
+            self.cpu.raise_irq(5)
+
+
+# Superblock exit counters, ``(superblock_exits, superblock_side_exits,
+# side_exit_sites)``, recorded from the per-unit executor that the
+# generated functions replaced.
+EXPECTED_SWEEP_TOTALS = [2063, 2063]
+EXPECTED_SWEEP_SITES = {0x24: 29, 0x28: 192, 0x34: 197, 0x38: 5,
+                        0x3C: 8, 0x40: 352, 0x44: 1, 0x48: 2, 0x4C: 140,
+                        0x50: 7, 0x54: 1130}
+EXPECTED_PASS_EXITS = [(1, 1, {0x34: 1})] * 32 + [(1, 0, {})]
+EXPECTED_FAULT_EXITS = (1, 1, {0x10: 1})
+EXPECTED_WATCH_EXITS = (1, 1, {0x10: 1})
+EXPECTED_SMC_EXITS = (3, 3, {0x40: 2, 0x48: 1})
+EXPECTED_IRQ_EXITS = (1, 1, {0x10: 1})
+
+
+def _to_halt_in_chunks(limit):
+    def drive(cpu):
+        stops = []
+        while True:
+            stops.append(cpu.run(max_instructions=limit))
+            if stops[-1] is not StopReason.INSTRUCTION_LIMIT:
+                return stops
+    return drive
+
+
+class TestExits:
+    """Every exit of the generated function commits exact state."""
+
+    def test_instruction_limit_sweep_over_the_crc_chain(self):
+        # Chunks of 256..511 instructions: each chunk can run one whole
+        # superblock, and its limit then stops 1..256 steps later, so
+        # chains are entered, and side-exit, at every phase.
+        totals = [0, 0]
+        sites = {}
+        for extra in range(1, MAX_SUPERBLOCK_STEPS + 1):
+            cpu = _drive_tiers(
+                CRC_PROGRAM,
+                _to_halt_in_chunks(MAX_SUPERBLOCK_STEPS - 1 + extra))
+            exits, side_exits, chunk_sites = _exits(cpu)
+            totals[0] += exits
+            totals[1] += side_exits
+            for site, count in chunk_sites.items():
+                sites[site] = sites.get(site, 0) + count
+        assert totals == EXPECTED_SWEEP_TOTALS
+        assert sites == EXPECTED_SWEEP_SITES
+
+    def test_side_exit_in_every_pass_of_the_loop(self):
+        # The bit counter r6 ends the loop in pass r6 - 1 of the
+        # re-rolled chain; at 33 the chain completes all 32 passes.
+        counters = []
+        for bits in range(1, 34):
+            def arm(cpu, prog, bits=bits):
+                cpu.block_profiler.hot_threshold = 1
+                cpu.pc = prog.symbols.resolve("crc_bit_loop")
+                cpu.regs[0] = prog.symbols.variable_address("table")
+                cpu.regs[1] = 16
+                cpu.regs[2] = 0x12345678
+                cpu.regs[6] = bits
+
+            cpu = _drive_tiers(
+                CRC_PROGRAM,
+                lambda cpu: cpu.run(max_instructions=MAX_SUPERBLOCK_STEPS),
+                arm=arm)
+            counters.append(_exits(cpu))
+        assert counters == EXPECTED_PASS_EXITS
+
+    def test_faulting_memory_step_inside_the_loop(self):
+        def drive(cpu):
+            with pytest.raises(MemoryAccessError) as error:
+                cpu.run(max_instructions=10_000)
+            return str(error.value)
+
+        cpu = _drive_tiers(FAULT_LOOP, drive)
+        assert cpu.regs[4] == 100 - 16
+        assert _exits(cpu) == EXPECTED_FAULT_EXITS
+
+    def test_store_into_own_words_exits_the_superblock(self):
+        cpu = _drive_tiers(SMC_LOOP, lambda cpu: cpu.run())
+        assert cpu.last_stop is StopReason.HALT
+        assert cpu.superblock_invalidations > 0
+        assert _exits(cpu) == EXPECTED_SMC_EXITS
+
+    def test_mmio_store_raising_irq_exits_mid_chain(self):
+        def arm(cpu, prog):
+            cpu.interrupts_enabled = True
+            cpu.memory.add_region(_IrqDevice(cpu))
+
+        cpu = _drive_tiers(IRQ_LOOP, lambda cpu: cpu.run(), arm=arm)
+        assert cpu.last_stop is StopReason.INTERRUPT
+        assert cpu.regs[0] == 20
+        assert _exits(cpu) == EXPECTED_IRQ_EXITS
 
 
 class TestInvalidation:
