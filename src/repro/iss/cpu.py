@@ -193,7 +193,10 @@ class Cpu:
         a page with code keeps every decode, block and superblock.
         Under the process backend the worker owns the live caches; the
         range is queued and applied at the top of its next run or sync.
+        A zero-length write changes nothing and drops nothing.
         """
+        if length <= 0:
+            return
         if self._remote is not None:
             self._remote.pending_code_writes.append((address, length))
         code_pages = self.memory._code_pages
@@ -535,7 +538,8 @@ class Cpu:
                          >= superblock.max_cycles):
                     # The generated function commits pc, cycles,
                     # instructions and its exit counters on every exit.
-                    superblock.run(self, regs, memory)
+                    superblock.run(self, regs, memory,
+                                   instruction_limit, cycle_limit)
                     if self._watch_hit is not None:
                         return self._stop(StopReason.WATCHPOINT)
                     if instruction_limit is not None and \

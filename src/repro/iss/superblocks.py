@@ -32,14 +32,30 @@ any armed code-breakpoint address, and at MMIO-resident or
 undecodable code.
 
 Each superblock compiles into **one generated Python function** over
-``(cpu, regs, memory)``.  Pure ALU instructions (no memory, no faults,
-no pc writes, constant cycle cost) become inline register statements,
-so straight-line code pays no per-step call, accumulate or side-exit
-test.  Predicted branches and if-converted skips become inline
-``if`` statements.  Memory and faultable steps call their block
-closures directly, with the block executor's exact per-step checks,
-preserving observable equivalence (watchpoints, SMC, IRQ delivery,
-fault pc and counters) instruction for instruction.
+``(cpu, regs, memory, instruction_limit, cycle_limit)``.  Pure ALU
+instructions (no memory, no faults, no pc writes, constant cycle cost)
+become inline register statements, so straight-line code pays no
+per-step call, accumulate or side-exit test.  Predicted branches and
+if-converted skips become inline ``if`` statements.  Memory and
+faultable steps call their block closures directly, with the block
+executor's exact per-step checks, preserving observable equivalence
+(watchpoints, SMC, IRQ delivery, fault pc and counters) instruction for
+instruction.  A ``lw``/``lb``/``lbu`` step first tries an **inline RAM
+load**: a direct read of ``memory.data`` with the same ``load_count``
+bump, taken only for an in-bounds, aligned access while no MMIO region
+exists and no watchpoint is armed — exactly when the closure would
+have read RAM and observed nothing else.
+
+A side exit back to the superblock's **own start** (a nested loop's
+inner branch falling through to the outer loop's next pass, e.g. the
+guest CRC-32's byte loop) **re-enters in place**: the function loops to
+its top exactly when the dispatcher would have re-entered it — the
+remaining budget still covers the worst case, no enabled IRQ is
+pending, and (settled at build time, since any breakpoint change drops
+every superblock) no breakpoint sits on the start.  Each pass commits
+``cycles`` and ``instructions`` as the round trip did, and counts as
+one side exit and one profiled entry at the start, so every counter
+reads as if the dispatcher had run the pass.
 
 An unrolled loop is **re-rolled**: the longest run of repeated units
 (a counted loop's body, unrolled about 32 times into a 256-step
@@ -53,12 +69,12 @@ constants: every exit, including one from inside the re-rolled loop,
 commits the static cost of the path it took (plus a pass-index term in
 the loop), and only the dynamic parts (closure cycle costs, the
 if-converted span) accumulate in locals.  Every exit commits ``pc``,
-``cycles``, ``instructions`` and the superblock exit counters itself:
-a mispredicted branch writes its exact pc, and a faulting step
-contributes neither cycles nor an instruction.  A superblock only runs
-when the remaining budget provably covers its worst case, so it
-degrades to per-block execution exactly where quantum batching
-degrades to lock-step.
+``cycles``, ``instructions`` and the superblock exit counters itself,
+including the in-place re-entries before it: a mispredicted branch
+writes its exact pc, and a faulting step contributes neither cycles
+nor an instruction.  A superblock only runs when the remaining budget
+provably covers its worst case, so it degrades to per-block execution
+exactly where quantum batching degrades to lock-step.
 
 Invalidation mirrors the block contract word-precisely: the CPU
 registers every page a superblock's constituent blocks touch, and a
@@ -138,6 +154,29 @@ _BRANCH_TESTS = {
 }
 
 
+#: Inline RAM paths of the load steps: ``(bound, value)`` sources.  The
+#: path runs when *bound* holds for the effective address ``a`` — in
+#: bounds (``top`` is the RAM size, or 0 while an MMIO region or an
+#: armed watchpoint could observe the access) and, for words, aligned,
+#: which also keeps all four bytes in bounds (the RAM size is a multiple
+#: of 4) — and reads exactly what ``Memory.load_word``/``load_byte``
+#: return.
+_LOAD_TEMPLATES = {
+    "lw": ("a < top and not a & 3",
+           "r[{rd}] = _from_bytes(data[a:a + 4], 'little')"),
+    "lb": ("a < top", "r[{rd}] = ((data[a] ^ 128) - 128) & 4294967295"),
+    "lbu": ("a < top", "r[{rd}] = data[a]"),
+}
+
+#: The dispatcher's re-entry conditions after a side exit back to the
+#: superblock's own start; ``il``/``cl`` are the limits less the
+#: superblock's worst case.  Its breakpoint check is settled at build
+#: time, and only a ``sys``/``wfi``/``halt``, which ends every chain,
+#: halts or parks the core.
+_REENTER = ("cpu.instructions <= il and cpu.cycles <= cl"
+            " and not (cpu.irq_pending and cpu.interrupts_enabled)")
+
+
 def _source(templates, d):
     """The template for decoded instruction *d*, filled with its fields."""
     return templates[d.spec.name].format(
@@ -166,6 +205,9 @@ def _source(templates, d):
 # - ``("mem", 0, 1, closure)`` and ``("op", 0, 1, closure)``: a block
 #   closure whose cycle cost is its return value.  Memory steps are
 #   followed by the watchpoint/SMC/IRQ side-exit check.
+# - ``("load", 2, 1, closure, address, bound, value)``: a RAM load with
+#   an inline path (see ``_LOAD_TEMPLATES``); otherwise its closure runs
+#   as a memory step, charged its return value less the static 2.
 #
 # Equal units behave identically (a closure compares by identity and is
 # bound to its own pc), so a repeated run of units is one loop period.
@@ -197,6 +239,14 @@ def _branch_unit(pending, decoded, branch_pc, fall_pc, predicted):
         return ("branch", taken, count, statements, "not (%s)" % test,
                 fall_pc, fall)
     return ("branch", fall, count, statements, test, target, taken)
+
+
+def _load_unit(closure, decoded):
+    """A load step: its closure plus the inline RAM path's sources."""
+    bound, value = _LOAD_TEMPLATES[decoded.spec.name]
+    return ("load", 2, 1, closure,
+            "a = (r[%d] + (%d)) & 4294967295" % (decoded.rs1, decoded.imm),
+            bound, value.format(rd=decoded.rd))
 
 
 def _predicated_unit(pending, decoded, span):
@@ -258,39 +308,55 @@ def _count(value, per_pass):
     return "%d" % value
 
 
-def _emit(units, out, pad, start, spent, per_pass, params):
+def _emit(units, out, pad, start, spent, per_pass, params, jump=None):
     """Append the source of *units* to *out*; returns the static cost.
 
     *spent* is the static ``(cycles, retired)`` before the first unit
     and *per_pass* the static cost of one pass of the enclosing loop
     (zeros outside one), so an exit in pass ``i`` charges ``spent + i *
     per_pass`` plus the dynamic ``cy``/``n``.  *params* maps each
-    called closure to its argument name.
+    called closure to its argument name.  *jump* is the statement that
+    re-enters the superblock in place (``continue``, or ``break`` inside
+    the re-rolled loop); None when it never re-enters, and otherwise
+    every exit also commits the ``k`` re-entries so far.
     """
     cycles, retired = spent
+    passes = ", k" if jump else ""
+
+    def total(unit_cycles, unit_retired):
+        return "cy + %s" % _count(cycles + unit_cycles, per_pass[0]), \
+            "n + %s" % _count(retired + unit_retired, per_pass[1])
 
     def leave(unit_cycles, unit_retired):
-        return "_exit(cpu, %d, cy + %s, n + %s)" % (
-            start, _count(cycles + unit_cycles, per_pass[0]),
-            _count(retired + unit_retired, per_pass[1]))
+        return "_exit(cpu, %d, %s, %s%s)" % (
+            (start,) + total(unit_cycles, unit_retired) + (passes,))
 
     for unit in units:
         kind = unit[0]
-        if kind in ("mem", "op"):
+        if kind in ("mem", "op", "load"):
             name = params.setdefault(unit[3], "c%d" % len(params))
+            step = pad
+            if kind == "load":
+                out += [pad + unit[4],
+                        pad + "if %s:" % unit[5],
+                        pad + "    " + unit[6],
+                        pad + "    memory.load_count += 1",
+                        pad + "else:"]
+                step = pad + "    "
             # A faulting step contributes neither cycles nor an
             # instruction; its closure already wrote cpu.pc.
-            out += [pad + "try:",
-                    pad + "    cy += %s(cpu, r, memory)" % name,
-                    pad + "except BaseException:",
-                    pad + "    " + leave(0, 0),
-                    pad + "    raise"]
-            if kind == "mem":
-                out += [pad + "if (cpu._watch_hit is not None"
-                              " or cpu._code_dirty",
-                        pad + "        or (cpu.irq_pending"
-                              " and cpu.interrupts_enabled)):",
-                        pad + "    return " + leave(0, 1)]
+            out += [step + "try:",
+                    step + "    cy += %s(cpu, r, memory)%s" % (
+                        name, " - %d" % unit[1] if unit[1] else ""),
+                    step + "except BaseException:",
+                    step + "    " + leave(0, 0),
+                    step + "    raise"]
+            if kind != "op":
+                out += [step + "if (cpu._watch_hit is not None"
+                               " or cpu._code_dirty",
+                        step + "        or (cpu.irq_pending"
+                               " and cpu.interrupts_enabled)):",
+                        step + "    return " + leave(unit[1], 1)]
         else:
             out += [pad + statement for statement in unit[3]]
             if kind == "pred":
@@ -302,6 +368,18 @@ def _emit(units, out, pad, start, spent, per_pass, params):
             elif kind == "branch" and unit[5] is None:
                 out += [pad + "if %s:" % unit[4],
                         pad + "    cy += %d" % (unit[6] - unit[1])]
+            elif kind == "branch" and jump and unit[5] == start:
+                # A side exit back to the start: commit this pass, then
+                # loop to the top where the dispatcher would re-enter.
+                spent_cycles, spent_retired = total(unit[6], unit[2])
+                out += [pad + "if %s:" % unit[4],
+                        pad + "    cpu.cycles += " + spent_cycles,
+                        pad + "    cpu.instructions += " + spent_retired,
+                        pad + "    if %s:" % _REENTER,
+                        pad + "        k += 1",
+                        pad + "        " + jump,
+                        pad + "    cpu.pc = %d" % start,
+                        pad + "    return _exit(cpu, %d, 0, 0, k)" % start]
             elif kind == "branch":
                 out += [pad + "if %s:" % unit[4],
                         pad + "    cpu.pc = %d" % unit[5],
@@ -311,52 +389,87 @@ def _emit(units, out, pad, start, spent, per_pass, params):
     return cycles, retired
 
 
-def _generate(start, units, end_pc):
+def _re_enters(unit, start):
+    """True for a branch unit whose side exit lands on *start*."""
+    return unit[0] == "branch" and unit[5] == start
+
+
+def _generate(start, units, end_pc, count, max_cycles, reenter):
     """The source of one superblock and the closures it takes.
 
     The source defines ``_make(c0, c1, ...)``, which binds the block
     closures the units call and returns the superblock function.  The
     longest repeated run of units is emitted once inside a ``for``
-    loop, so the text does not grow with unrolling.
+    loop, so the text does not grow with unrolling.  With *reenter*,
+    the body runs inside ``while True`` and a side exit back to
+    *start* loops to its top while the limits still cover *count*
+    instructions and *max_cycles* cycles.
     """
     params = {}
     body = []
+    head = ["def _make(%s):",
+            "    def superblock(cpu, r, memory, il, cl):"]
     pad = " " * 8
+    if any(unit[0] == "load" for unit in units):
+        head += [pad + "data = memory.data",
+                 pad + "top = (0 if memory.regions"
+                       " or cpu.breakpoints.has_watchpoints"
+                       " else memory.size)"]
+    if reenter:
+        head += [pad + "il = _INF if il is None else il - %d" % count,
+                 pad + "cl = _INF if cl is None else cl - %d" % max_cycles,
+                 pad + "k = 0",
+                 pad + "while True:"]
+        pad += "    "
+    head.append(pad + "cy = n = 0")
+    if any(unit[0] in ("mem", "load") for unit in units):
+        # The SMC check after each memory step reads this flag.
+        head.append(pad + "cpu._code_dirty = False")
+    jump = "continue" if reenter else None
     prefix, period, passes = _find_loop(units)
-    spent = _emit(units[:prefix], body, pad, start, (0, 0), (0, 0), params)
+    spent = _emit(units[:prefix], body, pad, start, (0, 0), (0, 0), params,
+                  jump)
+    tail = pad
     if passes:
         loop = units[prefix:prefix + period]
         per_pass = (sum(unit[1] for unit in loop),
                     sum(unit[2] for unit in loop))
         lines = []
-        _emit(loop, lines, pad + "    ", start, spent, per_pass, params)
+        _emit(loop, lines, pad + "    ", start, spent, per_pass, params,
+              "break" if reenter else None)
         if lines:
             body.append(pad + "for i in range(%d):" % passes)
             body += lines
+            if reenter and any(_re_enters(unit, start) for unit in loop):
+                # Only a re-entry breaks out of the loop: the rest of
+                # the pass runs when it completes.
+                body.append(pad + "else:")
+                tail += "    "
         spent = (spent[0] + passes * per_pass[0],
                  spent[1] + passes * per_pass[1])
         prefix += passes * period
-    spent = _emit(units[prefix:], body, pad, start, spent, (0, 0), params)
-    head = ["def _make(%s):" % ", ".join(params.values()),
-            "    def superblock(cpu, r, memory):",
-            pad + "cy = n = 0"]
-    if any(unit[0] == "mem" for unit in units):
-        # The SMC check after each memory step reads this flag.
-        head.append(pad + "cpu._code_dirty = False")
+    spent = _emit(units[prefix:], body, tail, start, spent, (0, 0), params,
+                  jump)
     if end_pc is not None:
-        body.append(pad + "cpu.pc = %d" % end_pc)
-    body += [pad + "cpu.cycles += cy + %d" % spent[0],
-             pad + "cpu.instructions += n + %d" % spent[1],
-             pad + "cpu.superblock_exits += 1",
-             "    return superblock"]
+        body.append(tail + "cpu.pc = %d" % end_pc)
+    body += [tail + "cpu.cycles += cy + %d" % spent[0],
+             tail + "cpu.instructions += n + %d" % spent[1],
+             tail + "cpu.superblock_exits += 1"]
+    if reenter:
+        body += [tail + "if k:",
+                 tail + "    _reentries(cpu, %d, k)" % start,
+                 tail + "return"]
+    head[0] %= ", ".join(params.values())
+    body.append("    return superblock")
     return "\n".join(head + body), tuple(params)
 
 
-def _side_exit(cpu, start, cycles, retired):
+def _side_exit(cpu, start, cycles, retired, passes=0):
     """Commit a guard exit of the superblock at *start*.
 
     Counts the exit and remembers its site for re-profiling analytics
-    (``Cpu.side_exit_sites``).
+    (``Cpu.side_exit_sites``), plus the *passes* in-place re-entries
+    before it.
     """
     cpu.cycles += cycles
     cpu.instructions += retired
@@ -364,6 +477,22 @@ def _side_exit(cpu, start, cycles, retired):
     cpu.superblock_side_exits += 1
     sites = cpu.side_exit_sites
     sites[start] = sites.get(start, 0) + 1
+    if passes:
+        _reentries(cpu, start, passes)
+
+
+def _reentries(cpu, start, passes):
+    """Commit *passes* in-place re-entries of the superblock at *start*.
+
+    Each counts what the dispatcher round trip it replaced counted: a
+    side exit back to *start* and a profiled block entry there.
+    """
+    cpu.superblock_exits += passes
+    cpu.superblock_side_exits += passes
+    sites = cpu.side_exit_sites
+    sites[start] = sites.get(start, 0) + passes
+    counts = cpu.block_profiler.counts
+    counts[start] = counts.get(start, 0) + passes
 
 
 @functools.lru_cache(maxsize=MAX_COMPILED_SOURCES)
@@ -375,7 +504,8 @@ def _compile(source):
     safe because ``_make`` holds no state: each call binds the calling
     superblock's own closures into a fresh function.
     """
-    namespace = {"_exit": _side_exit}
+    namespace = {"_exit": _side_exit, "_reentries": _reentries,
+                 "_from_bytes": int.from_bytes, "_INF": float("inf")}
     exec(compile(source, "<superblock>", "exec"), namespace)
     return source, namespace["_make"]
 
@@ -413,9 +543,11 @@ def _skip_span(fall_pc, target, next_steps):
 class Superblock:
     """A chain of basic blocks compiled into one generated function.
 
-    ``run(cpu, regs, memory)`` executes the whole chain and commits
-    ``pc``, ``cycles``, ``instructions`` and the superblock exit
-    counters itself on every exit; ``source`` is its generated text.
+    ``run(cpu, regs, memory, instruction_limit, cycle_limit)`` executes
+    the whole chain, re-entering it in place while the limits (absolute,
+    or None) allow, and commits ``pc``, ``cycles``, ``instructions``
+    and the superblock exit counters itself on every exit; ``source``
+    is its generated text.
     ``count``/``max_cycles`` bound the whole chain for the budget
     precheck; ``ranges`` are the deduplicated ``(start, end)`` address
     spans of the constituent blocks (word-precise invalidation).
@@ -567,22 +699,31 @@ def build_superblock(cpu, start):
                 if pending:
                     units.append(_alu_unit(pending))
                     pending = []
-                units.append(("mem" if is_mem else "op", 0, 1, closure))
+                if name in _LOAD_TEMPLATES:
+                    units.append(_load_unit(closure, decoded))
+                else:
+                    units.append(("mem" if is_mem else "op", 0, 1, closure))
             address = (address + 4) & _WORD
     if pending:
         units.append(_alu_unit(pending))
 
     # On full completion the pc is the final block's fall-through, the
     # final branch's predicted target, or whatever the final closure
-    # (jr, jalr, sys, a memory step, ...) wrote itself.
+    # (jr, jalr, sys, a store, ...) wrote itself.  A final load may
+    # have taken its inline path, which writes no pc.
     final_block, final_predicted = chained[-1]
-    if final_block.steps[-1][2] is not None:
+    if final_block.steps[-1][2] is not None or units[-1][0] == "load":
         end_pc = final_block.end
     elif units[-1][0] == "branch":
         end_pc = final_predicted
     else:
         end_pc = None
-    source, closures = _generate(start, units, end_pc)
+    # A breakpoint on the start stops every dispatcher re-entry; it is
+    # settled here because any breakpoint change drops every superblock.
+    reenter = not breakpoints.has_code(start) and any(
+        _re_enters(unit, start) for unit in units)
+    source, closures = _generate(start, units, end_pc, total_steps,
+                                 max_cycles, reenter)
     source, make = _compile(source)
     ranges = tuple(sorted(set(
         (block.start, block.end) for block, _predicted in chained)))

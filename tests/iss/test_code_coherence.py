@@ -195,6 +195,63 @@ class TestSerialEqualsProcess:
         _run_to_halt(cpu)
 
 
+class _SentStates:
+    """Wraps a worker pipe, keeping the state of every command sent."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.states = []
+
+    def send(self, message):
+        if len(message) == 4:            # (kind, state, limits...)
+            self.states.append(message[1])
+        self.conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+class TestZeroLengthWrites:
+    """A zero-length ``M``/``X`` writes nothing, so it drops nothing: no
+    block, superblock or decode, and no code write for a worker."""
+
+    @pytest.mark.parametrize("remote", [False, True],
+                             ids=["serial", "process"])
+    @pytest.mark.parametrize("packet", ["M", "X"])
+    @pytest.mark.parametrize("tier", ["blocks", "superblocks"])
+    def test_zero_length_write_keeps_compiled_code(self, tier, packet,
+                                                   remote, monkeypatch):
+        control, __ = _cpu(tier)
+        control.run(max_instructions=WARMUP)
+        control.run(max_instructions=40)
+        cpu, resolve = _cpu(tier, remote=remote)
+        sent = None
+        if remote:
+            sent = _SentStates(cpu._remote.conn)
+            monkeypatch.setattr(cpu._remote, "conn", sent)
+        assert cpu.run(max_instructions=WARMUP) \
+            is StopReason.INSTRUCTION_LIMIT
+        before = _counters(cpu)
+        if tier == "superblocks":
+            assert before["superblocks_compiled"] > 0
+        stub = GdbStub(cpu, Pipe("coherence").b)
+        header = "%x,0:" % (resolve("loop") + 2)
+        if packet == "M":
+            assert stub._write_memory(header) == "OK"
+        else:
+            assert stub._write_memory_binary(header.encode("ascii")) == "OK"
+        assert _counters(cpu) == before
+        assert cpu.run(max_instructions=40) is StopReason.INSTRUCTION_LIMIT
+        assert _counters(cpu) == _counters(control)
+        assert (cpu.regs, cpu.pc, cpu.cycles) \
+            == (control.regs, control.pc, control.cycles)
+        if remote:
+            assert cpu._remote.pending_code_writes == []
+            assert len(sent.states) == 2
+            assert not any("code_writes" in state for state in sent.states)
+            cpu._remote.detach()
+
+
 class TestDmiWriteCoherence:
     """A DMI kernel write over a decoded instruction: the worker, not
     only a serial CPU, must drop the stale decode."""

@@ -79,8 +79,8 @@ def _drive_tiers(source, drive, arm=None):
     """Drive *source* on every tier; returns the superblock-tier CPU.
 
     ``drive(cpu)`` returns what the run observed (stop reasons, a fault
-    message); it and the final registers, pc, cycles and instructions
-    must match the interpreter on every tier.
+    message); it and the final registers, pc, cycles, instructions and
+    data-load count must match the interpreter on every tier.
     """
     outcomes = []
     for tier in TIERS:
@@ -91,7 +91,7 @@ def _drive_tiers(source, drive, arm=None):
             arm(cpu, prog)
         observed = drive(cpu)
         outcomes.append((observed, list(cpu.regs), cpu.pc, cpu.cycles,
-                         cpu.instructions))
+                         cpu.instructions, cpu.memory.load_count))
     assert outcomes[1] == outcomes[0]
     assert outcomes[2] == outcomes[0]
     return cpu
@@ -154,7 +154,7 @@ class TestFormation:
         cpu.regs[2] = 0x12345678      # crc: mixed low bits
         cpu.regs[6] = 1000            # bit counter: never leaves the loop
         state = list(cpu.regs)
-        superblock.run(cpu, cpu.regs, cpu.memory)
+        superblock.run(cpu, cpu.regs, cpu.memory, None, None)
         assert cpu.superblock_exits == 1
         assert cpu.superblock_side_exits == 0
         assert cpu.pc == start
@@ -327,6 +327,87 @@ class _IrqDevice(MmioRegion):
             self.cpu.raise_irq(5)
 
 
+# A countdown whose superblock side-exits to its own start outside any
+# re-rolled loop: ``start`` chains into ``count`` and predicts the exit
+# to ``finish``, so every pass but the last mispredicts back to ``start``.
+COUNTDOWN = """
+    li r0, 0
+    li r3, 0
+    li r4, 50
+    b start
+finish:
+    halt
+count:
+    addi r4, r4, -1
+    beq r4, r3, finish
+start:
+    addi r0, r0, 1
+    b count
+"""
+
+# The CRC-32 routine over sixteen bytes read from a device window.
+ROM_BASE = 0xF0000
+CRC_ROM_PROGRAM = CRC_PROGRAM.replace("la r0, table",
+                                      "li32 r0, %d" % ROM_BASE)
+
+# A nested loop whose superblock starts after the inner loop and re-enters
+# itself once per outer pass; the load address gains *delta* bytes once
+# the outer counter r4 drops below 5, so pass 9 of 12 faults.
+LATE_FAULT_LOOP = """
+    la r0, buf
+    li32 r12, %d
+    li r3, 0
+    li r4, 12
+    li r11, 5
+outer:
+    sltu r10, r4, r11
+    mul r10, r10, r12
+    add r10, r10, r0
+    lw r5, [r10]
+    add r2, r2, r5
+    li r6, 3
+inner:
+    addi r6, r6, -1
+    bne r6, r3, inner
+    addi r4, r4, -1
+    bne r4, r3, outer
+    halt
+buf:
+    .word 7
+"""
+
+# The same nested shape storing each outer pass's counter to the IRQ
+# device, which raises the line on 20: the store in pass 20 of 60 exits.
+IRQ_NESTED_LOOP = """
+    li32 r12, %d
+    li r3, 0
+    li r0, 0
+    li r4, 60
+outer:
+    addi r0, r0, 1
+    sw r0, [r12]
+    li r6, 2
+inner:
+    addi r6, r6, -1
+    bne r6, r3, inner
+    addi r4, r4, -1
+    bne r4, r3, outer
+    halt
+""" % IRQ_BASE
+
+
+class _RomDevice(MmioRegion):
+    """A read-only window of deterministic words that counts its reads."""
+
+    def __init__(self):
+        super().__init__(ROM_BASE, 16, "rom")
+        self.reads = 0
+
+    def load_word(self, offset):
+        self.reads += 1
+        return (offset * 0x9E3779B1 + 0x01234567) & 0xFFFFFFFF
+
+
 # Superblock exit counters, ``(superblock_exits, superblock_side_exits,
 # side_exit_sites)``, recorded from the per-unit executor that the
 # generated functions replaced.
@@ -339,6 +420,77 @@ EXPECTED_FAULT_EXITS = (1, 1, {0x10: 1})
 EXPECTED_WATCH_EXITS = (1, 1, {0x10: 1})
 EXPECTED_SMC_EXITS = (3, 3, {0x40: 2, 0x48: 1})
 EXPECTED_IRQ_EXITS = (1, 1, {0x10: 1})
+
+
+# The re-entry programs' ``(source, last, step)`` sweeps: the limit
+# steps by *step* from 1 to *last*, one past the instructions the program
+# runs to halt (the cycle sweep goes a quarter further), so runs end
+# inside every pass.
+RE_ENTRY_SWEEPS = {"countdown": (COUNTDOWN, 207, 1),
+                   "crc32": (CRC_PROGRAM, 964, 3)}
+
+# ``_counts`` (exit counters plus profiler entry counts), recorded from
+# the dispatcher round trip that in-place re-entry replaced.
+EXPECTED_LIMIT_SWEEPS = {
+    "countdown": ([4802, 4800], {0x1C: 4800},
+                  {0x0: 206, 0x14: 298, 0x1C: 5200}),
+    "crc32": ([1480, 1480], {0x28: 212, 0x40: 228, 0x54: 1040},
+              {0x0: 321, 0x14: 319, 0x24: 1334, 0x28: 1646, 0x34: 7576,
+               0x40: 4857, 0x4C: 4009, 0x54: 2390, 0x60: 1}),
+}
+EXPECTED_CYCLE_SWEEPS = {
+    "countdown": ([5929, 5928], {0x1C: 5928},
+                  {0x0: 257, 0x14: 396, 0x1C: 6475}),
+    "crc32": ([1919, 1919], {0x28: 267, 0x40: 287, 0x54: 1365},
+              {0x0: 402, 0x10: 12, 0x14: 400, 0x24: 1724, 0x28: 2102,
+               0x34: 9791, 0x40: 6259, 0x4C: 5199, 0x54: 3111, 0x60: 13}),
+}
+EXPECTED_BREAKPOINT_COUNTS = (49, 48, {0x1C: 48},
+                              {0x0: 1, 0x14: 1, 0x1C: 50})
+EXPECTED_WATCH_READ_COUNTS = (
+    18, 18, {0x28: 1, 0x34: 1, 0x40: 1, 0x54: 15},
+    {0x0: 1, 0x10: 1, 0x14: 1, 0x24: 1, 0x28: 2, 0x2C: 1, 0x34: 2, 0x40: 2,
+     0x4C: 1, 0x54: 16, 0x60: 1})
+EXPECTED_ROM_COUNTS = (
+    17, 17, {0x28: 1, 0x4C: 1, 0x54: 15},
+    {0x0: 1, 0x10: 1, 0x14: 1, 0x24: 1, 0x28: 2, 0x34: 1, 0x4C: 2, 0x54: 16,
+     0x60: 1})
+EXPECTED_LATE_FAULT_COUNTS = (9, 9, {0x34: 2, 0x3C: 7},
+                              {0x0: 1, 0x1C: 1, 0x34: 3, 0x3C: 8})
+EXPECTED_IRQ_NESTED_COUNTS = (19, 19, {0x20: 1, 0x28: 18},
+                              {0x0: 1, 0x14: 1, 0x20: 2, 0x28: 19})
+
+
+def _counts(cpu):
+    """Exit counters plus the block profiler's entry counts."""
+    return _exits(cpu) + (dict(cpu.block_profiler.counts),)
+
+
+def _sweep(source, limits, drive_for):
+    """Sum :func:`_counts` over one single-limit run per limit."""
+    totals = [0, 0]
+    sites = {}
+    profile = {}
+    for limit in limits:
+        cpu = _drive_tiers(source, drive_for(limit))
+        exits, side_exits, run_sites, run_profile = _counts(cpu)
+        totals[0] += exits
+        totals[1] += side_exits
+        for into, counts in ((sites, run_sites), (profile, run_profile)):
+            for pc, count in counts.items():
+                into[pc] = into.get(pc, 0) + count
+    return totals, sites, profile
+
+
+def _until_halt(cpu):
+    """Run to HALT, resuming past every breakpoint and watchpoint stop."""
+    stops = []
+    while True:
+        stops.append(cpu.run(max_instructions=100_000))
+        if stops[-1] is StopReason.BREAKPOINT:
+            cpu.resume_from_breakpoint()
+        elif stops[-1] is not StopReason.WATCHPOINT:
+            return stops
 
 
 def _to_halt_in_chunks(limit):
@@ -417,6 +569,92 @@ class TestExits:
         assert cpu.last_stop is StopReason.INTERRUPT
         assert cpu.regs[0] == 20
         assert _exits(cpu) == EXPECTED_IRQ_EXITS
+
+
+    # -- a superblock that side-exits back to its own start ----------------
+
+    def test_pending_irq_stops_in_place_re_entry(self):
+        # The dispatcher never enters with an enabled IRQ pending, so
+        # called directly the function must stop where it would have.
+        cpu, prog = _hot_cpu(COUNTDOWN)
+        start = prog.symbols.resolve("start")
+        superblock = build_superblock(cpu, start)
+        cpu.pc = start
+        cpu.regs[4] = 50
+        cpu.irq_pending = cpu.interrupts_enabled = True
+        superblock.run(cpu, cpu.regs, cpu.memory, None, None)
+        assert (cpu.pc, cpu.instructions, cpu.regs[4]) == (start, 4, 49)
+        assert _counts(cpu) == (1, 1, {start: 1}, {})
+        cpu.irq_pending = False
+        superblock.run(cpu, cpu.regs, cpu.memory, None, None)
+        assert (cpu.halted, cpu.regs[4], cpu.instructions) == (True, 0, 201)
+        assert _counts(cpu) == (50, 49, {start: 49}, {start: 48})
+
+    @pytest.mark.parametrize("name", sorted(RE_ENTRY_SWEEPS))
+    def test_instruction_limit_ends_inside_every_pass(self, name):
+        source, last, step = RE_ENTRY_SWEEPS[name]
+        counts = _sweep(source, range(1, last, step),
+                        lambda limit: lambda cpu: cpu.run(
+                            max_instructions=limit))
+        assert counts == EXPECTED_LIMIT_SWEEPS[name]
+
+    @pytest.mark.parametrize("name", sorted(RE_ENTRY_SWEEPS))
+    def test_cycle_limit_ends_inside_every_pass(self, name):
+        source, last, step = RE_ENTRY_SWEEPS[name]
+        counts = _sweep(source, range(1, last + last // 4, step),
+                        lambda limit: lambda cpu: cpu.run(max_cycles=limit))
+        assert counts == EXPECTED_CYCLE_SWEEPS[name]
+
+    def test_breakpoint_on_the_superblock_start(self):
+        def arm(cpu, prog):
+            cpu.breakpoints.add_code(prog.symbols.resolve("start"))
+
+        cpu = _drive_tiers(COUNTDOWN, _until_halt, arm=arm)
+        assert cpu.breakpoints.code_hit_count == 50
+        assert _counts(cpu) == EXPECTED_BREAKPOINT_COUNTS
+
+    def test_read_watchpoint_on_a_loaded_byte(self):
+        def arm(cpu, prog):
+            cpu.breakpoints.add_watch(
+                prog.symbols.variable_address("table") + 9, length=1,
+                kind=WatchKind.READ)
+
+        cpu = _drive_tiers(CRC_PROGRAM, _until_halt, arm=arm)
+        assert cpu.breakpoints.watch_hit_count == 1
+        assert _counts(cpu) == EXPECTED_WATCH_READ_COUNTS
+
+    def test_load_from_an_mmio_region(self):
+        devices = []
+
+        def arm(cpu, prog):
+            devices.append(cpu.memory.add_region(_RomDevice()))
+
+        cpu = _drive_tiers(CRC_ROM_PROGRAM, lambda cpu: cpu.run(), arm=arm)
+        assert cpu.last_stop is StopReason.HALT
+        assert [device.reads for device in devices] == [16, 16, 16]
+        assert _counts(cpu) == EXPECTED_ROM_COUNTS
+
+    @pytest.mark.parametrize("delta", [1, 1 << 20],
+                             ids=["misaligned", "out-of-bounds"])
+    def test_load_faults_in_a_later_pass(self, delta):
+        def drive(cpu):
+            with pytest.raises(MemoryAccessError) as error:
+                cpu.run(max_instructions=10_000)
+            return str(error.value)
+
+        cpu = _drive_tiers(LATE_FAULT_LOOP % delta, drive)
+        assert cpu.regs[4] == 4
+        assert _counts(cpu) == EXPECTED_LATE_FAULT_COUNTS
+
+    def test_mmio_store_raises_irq_in_a_later_pass(self):
+        def arm(cpu, prog):
+            cpu.interrupts_enabled = True
+            cpu.memory.add_region(_IrqDevice(cpu))
+
+        cpu = _drive_tiers(IRQ_NESTED_LOOP, lambda cpu: cpu.run(), arm=arm)
+        assert cpu.last_stop is StopReason.INTERRUPT
+        assert cpu.regs[0] == 20
+        assert _counts(cpu) == EXPECTED_IRQ_NESTED_COUNTS
 
 
 class TestInvalidation:

@@ -6,13 +6,17 @@ canonical series dump must be byte-identical between serial and
 parallel execution of the same seeded scenario, across schemes, sync
 quanta and ISS tiers, on both pool backends.  This is the telemetry
 counterpart of the trace/metrics identity argument in
-docs/parallel.md.
+docs/parallel.md.  The superblock tier's batched exit and profile
+accounting must cross the process worker boundary just as exactly.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.scenarios import run_traced_scenario
+from repro.router.system import RouterConfig, RouterSystem
+from repro.sysc.simtime import MS, US
 from tests.support import SIM_SETTINGS, quanta, schemes, seeds
 
 tiers = st.sampled_from(["blocks", "superblocks"])
@@ -61,3 +65,31 @@ def test_repeat_runs_are_byte_identical():
     second = _series_dump("driver-kernel", 7, 4, "blocks",
                           parallel=False)
     assert first == second
+
+
+def _mpsoc_crc(scheme, parallel):
+    """Everything the benchmark's ``mpsoc-crc`` shape counts, after a
+    1 ms run: four CRC-32 CPUs on the superblock tier, quantum 32."""
+    system = RouterSystem(RouterConfig(
+        scheme=scheme, seed=42, num_cpus=4, producer_count=4,
+        algorithm="crc32", checksum_rounds=24, cpu_hz=1_000_000_000,
+        inter_packet_delay=100 * US, sync_quantum=32, dmi=False,
+        tier="superblocks", parallel=parallel, workers=2))
+    try:
+        system.run(1 * MS)
+        system.stats()
+        cpus = [(cpu.block_profiler.state(), cpu.superblock_exits,
+                 cpu.superblock_side_exits, dict(cpu.side_exit_sites))
+                for cpu in system.cpus]
+        return (system.metrics.as_dict(), system.telemetry.series.dump(),
+                cpus)
+    finally:
+        system.close()
+
+
+@pytest.mark.parametrize("scheme", ["gdb-kernel", "driver-kernel"])
+def test_superblock_tier_matches_across_backends(scheme):
+    serial = _mpsoc_crc(scheme, parallel=None)
+    assert serial[0]["superblock_side_exits"] > 0
+    assert _mpsoc_crc(scheme, parallel="thread") == serial
+    assert _mpsoc_crc(scheme, parallel="process") == serial
