@@ -67,6 +67,20 @@ def _request_tag(request):
     return head[:16]
 
 
+#: Requests whose reply is itself a stop packet.
+_STOP_REPLY_REQUESTS = frozenset(["?", "s"])
+
+
+def _reply_index(request, messages):
+    """The index of *request*'s reply among framed *messages*, or None."""
+    if request in _STOP_REPLY_REQUESTS:
+        return len(messages) - 1 if messages else None
+    for index, packet in enumerate(messages):
+        if packet[1:2] not in (b"T", b"W"):
+            return index
+    return None
+
+
 class GdbClient:
     """Synchronous RSP client over a channel endpoint."""
 
@@ -104,12 +118,11 @@ class GdbClient:
             self.transaction_count += 1
             self.endpoint.send(rsp.frame(request))
             self._pump()
-            messages = self._await_reply(request)
-            # Messages queued before our reply are asynchronous stops.
-            for stop_packet in messages[:-1]:
+            stops, reply = self._await_reply(request)
+            for stop_packet in stops:
                 self._stash(rsp.unframe(stop_packet).decode("ascii"))
             try:
-                return rsp.unframe(messages[-1]).decode("ascii")
+                return rsp.unframe(reply).decode("ascii")
             except RspError as error:
                 last_error = error
                 self.retransmissions += 1
@@ -117,24 +130,31 @@ class GdbClient:
                        % (self.max_attempts, last_error))
 
     def _await_reply(self, request):
-        """The reply messages, waiting out transport-level recovery.
+        """The asynchronous stops around the reply, and the reply.
 
-        Each wait iteration is a transport tick (poll) plus a stub
-        service round (pump), which is what drives the reliable layer's
-        retransmission when the request or reply frame was lost; a dead
-        link surfaces as :class:`~repro.errors.CosimTransportError`
-        from the endpoint itself."""
+        The reply is the first message that is not a ``T``/``W`` stop
+        (the last message for ``?`` and ``s``, whose reply is itself a
+        stop packet): a delayed reply can arrive after a stop the
+        target raised meanwhile.  Waiting continues while only stops
+        have arrived; each wait iteration is a transport tick (poll)
+        plus a stub service round (pump), which is what drives the
+        reliable layer's retransmission when the request or reply frame
+        was lost.  A dead link surfaces as
+        :class:`~repro.errors.CosimTransportError` from the endpoint
+        itself."""
         messages = self.endpoint.recv_all()
         waits = (self.reply_wait_polls
                  if getattr(self.endpoint, "reliable", False) else 0)
-        while not messages and waits > 0:
+        index = _reply_index(request, messages)
+        while index is None and waits > 0:
             self.endpoint.poll()
             self._pump()
-            messages = self.endpoint.recv_all()
+            messages += self.endpoint.recv_all()
+            index = _reply_index(request, messages)
             waits -= 1
-        if not messages:
+        if index is None:
             raise RspError("no reply to %r" % request[:32])
-        return messages
+        return messages[:index] + messages[index + 1:], messages[index]
 
     def _stash(self, text):
         event = parse_stop_reply(text)

@@ -215,25 +215,26 @@ class Cpu:
         decode.  Invalidation is word-precise: data that merely shares
         a 256-byte page with code (a common layout — constants after a
         loop) does not thrash the caches, only a store overlapping a
-        decoded instruction pays.
+        decoded instruction pays.  Every word a cached block or
+        superblock covers was decoded to build it, so a store to any
+        other word returns after one set lookup.
         """
         word = address & ~3
         page = address >> 8
         decoded = self._decoded_pages.get(page)
-        if decoded and word in decoded:
-            decoded.discard(word)
-            self._decode_cache.pop(word, None)
-            if not decoded:
-                del self._decoded_pages[page]
-            self._code_dirty = True
+        if not decoded or word not in decoded:
+            return
+        decoded.discard(word)
+        self._decode_cache.pop(word, None)
+        if not decoded:
+            del self._decoded_pages[page]
+        self._code_dirty = True
         starts = self._blocks_by_page.get(page)
         if starts:
             dead = [start for start in starts
                     if self._block_cache[start].covers(word)]
             for start in dead:
                 self._drop_block(start)
-            if dead:
-                self._code_dirty = True
         sb_starts = self._superblocks_by_page.get(page)
         if sb_starts:
             dead = [start for start in sb_starts
@@ -244,7 +245,6 @@ class Cpu:
                 # The stored word may re-chain differently now; retry
                 # any promotion that previously failed to form a chain.
                 self._superblock_failed.clear()
-                self._code_dirty = True
 
     def _drop_block(self, start):
         """Evict one compiled block and its page-index entries."""
@@ -499,9 +499,10 @@ class Cpu:
         Block entries feed the execution-count profiler; on the
         superblock tier, hot starts are promoted to superblocks
         (:mod:`repro.iss.superblocks`) that run whenever the remaining
-        budget provably covers the whole chain — otherwise dispatch
-        degrades to per-block execution, exactly where quantum
-        batching degrades to lock-step.
+        budget covers their minimum (the prefix plus one pass of their
+        re-rolled loop, or the whole chain without one) and stop short
+        of both limits; below it dispatch degrades to per-block
+        execution, exactly where quantum batching degrades to lock-step.
         """
         regs = self.regs
         memory = self.memory
@@ -532,10 +533,10 @@ class Cpu:
                 if superblock is not None and \
                         (instruction_limit is None
                          or instruction_limit - self.instructions
-                         >= superblock.count) and \
+                         >= superblock.min_count) and \
                         (cycle_limit is None
                          or cycle_limit - self.cycles
-                         >= superblock.max_cycles):
+                         >= superblock.min_cycles):
                     # The generated function commits pc, cycles,
                     # instructions and its exit counters on every exit.
                     superblock.run(self, regs, memory,

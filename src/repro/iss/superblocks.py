@@ -50,12 +50,12 @@ A side exit back to the superblock's **own start** (a nested loop's
 inner branch falling through to the outer loop's next pass, e.g. the
 guest CRC-32's byte loop) **re-enters in place**: the function loops to
 its top exactly when the dispatcher would have re-entered it — the
-remaining budget still covers the worst case, no enabled IRQ is
-pending, and (settled at build time, since any breakpoint change drops
-every superblock) no breakpoint sits on the start.  Each pass commits
-``cycles`` and ``instructions`` as the round trip did, and counts as
-one side exit and one profiled entry at the start, so every counter
-reads as if the dispatcher had run the pass.
+remaining budget still covers the superblock's minimum (below), no
+enabled IRQ is pending, and (settled at build time, since any
+breakpoint change drops every superblock) no breakpoint sits on the
+start.  Each pass commits ``cycles`` and ``instructions`` as the round
+trip did, and counts as one side exit and one profiled entry at the
+start, so every counter reads as if the dispatcher had run the pass.
 
 An unrolled loop is **re-rolled**: the longest run of repeated units
 (a counted loop's body, unrolled about 32 times into a 256-step
@@ -63,6 +63,16 @@ CRC-32 chain) is emitted once inside a ``for`` loop, so the generated
 text does not grow with unrolling.  Identical text compiles once into
 a bounded process-wide cache, and CPUs that run the same program
 share its code object.
+
+The re-rolled loop is **budget-bounded**: on entry the function
+computes, from the static worst case of the prefix and of one pass,
+how many passes ``m`` the remaining instruction and cycle limits cover.
+When they cover the whole chain it runs all of it; otherwise it runs
+``m`` passes and side-exits at the loop head, charging the prefix, ``m``
+times the pass and the dynamic costs exactly.  Its **minimum** — the
+prefix plus one pass, or the whole chain when there is no loop — is
+the dispatcher's budget precheck, so a superblock runs on any budget it
+can make progress on and never passes a limit.
 
 Cycle and instruction accounting is folded into compile-time
 constants: every exit, including one from inside the re-rolled loop,
@@ -73,8 +83,8 @@ if-converted span) accumulate in locals.  Every exit commits ``pc``,
 including the in-place re-entries before it: a mispredicted branch
 writes its exact pc, and a faulting step contributes neither cycles
 nor an instruction.  A superblock only runs when the remaining budget
-provably covers its worst case, so it degrades to per-block execution
-exactly where quantum batching degrades to lock-step.
+covers its minimum, so it degrades to per-block execution exactly where
+quantum batching degrades to lock-step.
 
 Invalidation mirrors the block contract word-precisely: the CPU
 registers every page a superblock's constituent blocks touch, and a
@@ -92,7 +102,8 @@ _WORD = isa.WORD_MASK
 #: Upper bound on instructions per superblock.  Large enough to unroll
 #: a hot loop many times (amortizing the outer-loop checks), small
 #: enough that typical quantum cycle budgets still cover whole
-#: superblocks.
+#: superblocks (a budget covering only part of a re-rolled loop runs
+#: the passes it covers).
 MAX_SUPERBLOCK_STEPS = 256
 
 #: Upper bound on chained blocks (unrolled iterations count each time).
@@ -170,7 +181,7 @@ _LOAD_TEMPLATES = {
 
 #: The dispatcher's re-entry conditions after a side exit back to the
 #: superblock's own start; ``il``/``cl`` are the limits less the
-#: superblock's worst case.  Its breakpoint check is settled at build
+#: superblock's minimum.  Its breakpoint check is settled at build
 #: time, and only a ``sys``/``wfi``/``halt``, which ends every chain,
 #: halts or parks the core.
 _REENTER = ("cpu.instructions <= il and cpu.cycles <= cl"
@@ -202,15 +213,16 @@ def _source(templates, d):
 #   superblock side-exits to *exit_pc* having spent *test_cycles* on
 #   the unit.  ``exit_pc`` None marks a branch to its own fall-through,
 #   whose two paths differ only in cost.
-# - ``("mem", 0, 1, closure)`` and ``("op", 0, 1, closure)``: a block
-#   closure whose cycle cost is its return value.  Memory steps are
-#   followed by the watchpoint/SMC/IRQ side-exit check.
+# - ``("mem", 0, 1, closure, worst)`` and ``("op", 0, 1, closure,
+#   worst)``: a block closure whose cycle cost is its return value, at
+#   most *worst* (its instruction's cost, as in ``block.max_cycles``).
+#   Memory steps are followed by the watchpoint/SMC/IRQ side-exit check.
 # - ``("load", 2, 1, closure, address, bound, value)``: a RAM load with
 #   an inline path (see ``_LOAD_TEMPLATES``); otherwise its closure runs
 #   as a memory step, charged its return value less the static 2.
 #
-# Equal units behave identically (a closure compares by identity and is
-# bound to its own pc), so a repeated run of units is one loop period.
+# Equal units at equal pcs behave identically, so a repeated run of
+# them is one loop period.
 
 
 def _statements(pending):
@@ -268,17 +280,18 @@ def _predicated_unit(pending, decoded, span):
 # -- code generation ----------------------------------------------------------
 
 
-def _find_loop(units):
+def _find_loop(units, pcs):
     """The repetition that saves the most text: ``(prefix, period, passes)``.
 
-    ``units[prefix:prefix + period]`` repeats *passes* times back to
-    back; *passes* is 0 when no run of units repeats.  Candidate
-    periods are the distances between consecutive equal units, so any
-    period holding some unit once is found; the shortest period and
-    the earliest start win ties.
+    ``units[prefix:prefix + period]``, starting at ``pcs[prefix:prefix +
+    period]``, repeats *passes* times back to back, so every pass starts
+    at the same pc; *passes* is 0 when no run of units repeats.
+    Candidate periods are the distances between consecutive equal
+    units, so any period holding some unit once is found; the shortest
+    period and the earliest start win ties.
     """
     ids = {}
-    keys = [ids.setdefault(unit, len(ids)) for unit in units]
+    keys = [ids.setdefault(key, len(ids)) for key in zip(units, pcs)]
     last_seen = {}
     periods = set()
     for index, key in enumerate(keys):
@@ -301,11 +314,45 @@ def _find_loop(units):
     return best
 
 
-def _count(value, per_pass):
-    """Source for a static count that grows by *per_pass* each loop pass."""
+def _count(value, per_pass, index="i"):
+    """Source for a static count that grows by *per_pass* each loop pass.
+
+    *index* names the passes completed so far.
+    """
     if per_pass:
-        return "%d + %d * i" % (value, per_pass)
+        return "%d + %d * %s" % (value, per_pass, index)
     return "%d" % value
+
+
+def _leave(start, cycles, retired, reenter):
+    """Source committing a side exit of the superblock at *start*.
+
+    *cycles* and *retired* are the static parts' sources; the dynamic
+    ``cy``/``n`` are added, and the ``k`` in-place re-entries so far
+    when the superblock re-enters.
+    """
+    return "_exit(cpu, %d, cy + %s, n + %s%s)" % (
+        start, cycles, retired, ", k" if reenter else "")
+
+
+def _bound(units):
+    """The most ``(cycles, retired)`` any path through *units* costs."""
+    cycles = retired = 0
+    for unit in units:
+        kind = unit[0]
+        if kind == "pred":
+            cycles += unit[1] + max(unit[7], 0)
+            retired += unit[2] + unit[6]
+        elif kind == "branch":
+            cycles += max(unit[1], unit[6])
+            retired += unit[2]
+        elif kind in ("mem", "op"):
+            cycles += unit[4]
+            retired += 1
+        else:
+            cycles += unit[1]
+            retired += unit[2]
+    return cycles, retired
 
 
 def _emit(units, out, pad, start, spent, per_pass, params, jump=None):
@@ -321,15 +368,14 @@ def _emit(units, out, pad, start, spent, per_pass, params, jump=None):
     every exit also commits the ``k`` re-entries so far.
     """
     cycles, retired = spent
-    passes = ", k" if jump else ""
 
     def total(unit_cycles, unit_retired):
-        return "cy + %s" % _count(cycles + unit_cycles, per_pass[0]), \
-            "n + %s" % _count(retired + unit_retired, per_pass[1])
+        return (_count(cycles + unit_cycles, per_pass[0]),
+                _count(retired + unit_retired, per_pass[1]))
 
     def leave(unit_cycles, unit_retired):
-        return "_exit(cpu, %d, %s, %s%s)" % (
-            (start,) + total(unit_cycles, unit_retired) + (passes,))
+        return _leave(start, *total(unit_cycles, unit_retired),
+                      reenter=jump is not None)
 
     for unit in units:
         kind = unit[0]
@@ -373,8 +419,8 @@ def _emit(units, out, pad, start, spent, per_pass, params, jump=None):
                 # loop to the top where the dispatcher would re-enter.
                 spent_cycles, spent_retired = total(unit[6], unit[2])
                 out += [pad + "if %s:" % unit[4],
-                        pad + "    cpu.cycles += " + spent_cycles,
-                        pad + "    cpu.instructions += " + spent_retired,
+                        pad + "    cpu.cycles += cy + " + spent_cycles,
+                        pad + "    cpu.instructions += n + " + spent_retired,
                         pad + "    if %s:" % _REENTER,
                         pad + "        k += 1",
                         pad + "        " + jump,
@@ -394,16 +440,21 @@ def _re_enters(unit, start):
     return unit[0] == "branch" and unit[5] == start
 
 
-def _generate(start, units, end_pc, count, max_cycles, reenter):
-    """The source of one superblock and the closures it takes.
+def _generate(start, units, pcs, end_pc, whole, reenter):
+    """The source of one superblock, the closures it takes, and its minimum.
 
     The source defines ``_make(c0, c1, ...)``, which binds the block
     closures the units call and returns the superblock function.  The
     longest repeated run of units is emitted once inside a ``for``
-    loop, so the text does not grow with unrolling.  With *reenter*,
-    the body runs inside ``while True`` and a side exit back to
-    *start* loops to its top while the limits still cover *count*
-    instructions and *max_cycles* cycles.
+    loop, so the text does not grow with unrolling, and the function
+    runs as many passes of it as the limits cover: when *whole*, the
+    chain's worst-case ``(cycles, retired)``, does not fit, it runs the
+    ``m`` passes that do, then side-exits at the loop head.  The
+    minimum is the worst case of the prefix plus one pass (*whole*
+    without a loop), the least budget on which the function makes
+    progress without passing a limit.  With *reenter*, the body runs
+    inside ``while True`` and a side exit back to *start* loops to its
+    top while the limits still cover the minimum.
     """
     params = {}
     body = []
@@ -415,36 +466,60 @@ def _generate(start, units, end_pc, count, max_cycles, reenter):
                  pad + "top = (0 if memory.regions"
                        " or cpu.breakpoints.has_watchpoints"
                        " else memory.size)"]
+    prefix, period, passes = _find_loop(units, pcs)
+    minimum = whole
+    if passes:
+        loop = units[prefix:prefix + period]
+        pass_bound = _bound(loop)
+        minimum = _bound(units[:prefix + period])
+    if passes or reenter:
+        # The limits less the minimum: what is left beyond it.
+        head += [pad + "il = _INF if il is None else il - %d" % minimum[1],
+                 pad + "cl = _INF if cl is None else cl - %d" % minimum[0]]
+    if passes:
+        # ... and less the whole chain.
+        spare = (whole[0] - minimum[0], whole[1] - minimum[1])
+        head += [pad + "iw = il - %d" % spare[1],
+                 pad + "cw = cl - %d" % spare[0]]
     if reenter:
-        head += [pad + "il = _INF if il is None else il - %d" % count,
-                 pad + "cl = _INF if cl is None else cl - %d" % max_cycles,
-                 pad + "k = 0",
+        head += [pad + "k = 0",
                  pad + "while True:"]
         pad += "    "
+    if passes:
+        # The whole chain if it fits, else every pass the limits cover.
+        head += [pad + "if cpu.instructions <= iw and cpu.cycles <= cw:",
+                 pad + "    m = %d" % passes,
+                 pad + "else:",
+                 pad + "    m = min(%d, 1 + min(il - cpu.instructions, %d)"
+                       " // %d," % (passes - 1, spare[1], pass_bound[1]),
+                 pad + "            1 + min(cl - cpu.cycles, %d) // %d)"
+                       % (spare[0], pass_bound[0])]
     head.append(pad + "cy = n = 0")
     if any(unit[0] in ("mem", "load") for unit in units):
         # The SMC check after each memory step reads this flag.
         head.append(pad + "cpu._code_dirty = False")
     jump = "continue" if reenter else None
-    prefix, period, passes = _find_loop(units)
     spent = _emit(units[:prefix], body, pad, start, (0, 0), (0, 0), params,
                   jump)
     tail = pad
     if passes:
-        loop = units[prefix:prefix + period]
         per_pass = (sum(unit[1] for unit in loop),
                     sum(unit[2] for unit in loop))
         lines = []
         _emit(loop, lines, pad + "    ", start, spent, per_pass, params,
               "break" if reenter else None)
-        if lines:
-            body.append(pad + "for i in range(%d):" % passes)
-            body += lines
-            if reenter and any(_re_enters(unit, start) for unit in loop):
-                # Only a re-entry breaks out of the loop: the rest of
-                # the pass runs when it completes.
-                body.append(pad + "else:")
-                tail += "    "
+        body.append(pad + "for i in range(m):")
+        body += lines or [pad + "    pass"]
+        if reenter and any(_re_enters(unit, start) for unit in loop):
+            # Only a re-entry breaks out of the loop: the rest of
+            # the pass runs when it completes.
+            body.append(pad + "else:")
+            tail += "    "
+        body += [tail + "if m < %d:" % passes,
+                 tail + "    cpu.pc = %d" % pcs[prefix],
+                 tail + "    return " + _leave(
+                     start, _count(spent[0], per_pass[0], "m"),
+                     _count(spent[1], per_pass[1], "m"), reenter)]
         spent = (spent[0] + passes * per_pass[0],
                  spent[1] + passes * per_pass[1])
         prefix += passes * period
@@ -461,7 +536,7 @@ def _generate(start, units, end_pc, count, max_cycles, reenter):
                  tail + "return"]
     head[0] %= ", ".join(params.values())
     body.append("    return superblock")
-    return "\n".join(head + body), tuple(params)
+    return "\n".join(head + body), tuple(params), minimum
 
 
 def _side_exit(cpu, start, cycles, retired, passes=0):
@@ -544,25 +619,31 @@ class Superblock:
     """A chain of basic blocks compiled into one generated function.
 
     ``run(cpu, regs, memory, instruction_limit, cycle_limit)`` executes
-    the whole chain, re-entering it in place while the limits (absolute,
-    or None) allow, and commits ``pc``, ``cycles``, ``instructions``
-    and the superblock exit counters itself on every exit; ``source``
-    is its generated text.
-    ``count``/``max_cycles`` bound the whole chain for the budget
-    precheck; ``ranges`` are the deduplicated ``(start, end)`` address
-    spans of the constituent blocks (word-precise invalidation).
+    as much of the chain as the limits (absolute, or None) cover without
+    passing either — the whole chain, or the passes of its re-rolled
+    loop that fit — re-entering it in place while they allow, and
+    commits ``pc``, ``cycles``, ``instructions`` and the superblock exit
+    counters itself on every exit; ``source`` is its generated text.
+    ``count``/``max_cycles`` bound the whole chain;
+    ``min_count``/``min_cycles``, the prefix plus one loop pass (the
+    whole chain without a loop), are the least budget ``run`` needs,
+    the dispatcher's precheck.  ``ranges`` are the deduplicated
+    ``(start, end)`` address spans of the constituent blocks
+    (word-precise invalidation).
     """
 
     __slots__ = ("start", "run", "source", "count", "max_cycles",
-                 "ranges", "pages", "block_starts")
+                 "min_count", "min_cycles", "ranges", "pages",
+                 "block_starts")
 
-    def __init__(self, start, run, source, count, max_cycles, ranges,
-                 block_starts):
+    def __init__(self, start, run, source, count, max_cycles, minimum,
+                 ranges, block_starts):
         self.start = start
         self.run = run
         self.source = source
         self.count = count
         self.max_cycles = max_cycles
+        self.min_cycles, self.min_count = minimum
         self.ranges = ranges
         self.pages = tuple(sorted(set(
             page for begin, end in ranges
@@ -639,8 +720,10 @@ def build_superblock(cpu, start):
         return None
 
     units = []
+    pcs = []              # the pc of each unit's first instruction
     max_cycles = 0
     pending = []          # (statement, cycles) run awaiting a unit
+    head = None           # the pc of the next unit's first instruction
     alu_steps = {}        # block start -> _alu_steps: unrolled passes
                           # revisit the same blocks
     for block, __ in chained:
@@ -657,6 +740,8 @@ def build_superblock(cpu, start):
         last_index = block.count - 1
         steps = alu_steps[block.start]
         for index in range(skip, block.count):
+            if head is None:
+                head = address
             closure, is_mem, _static_pc = block.steps[index]
             if steps[index] is not None:
                 pending.append(steps[index])
@@ -682,7 +767,9 @@ def build_superblock(cpu, start):
                 else:
                     units.append(_branch_unit(pending, decoded, address,
                                               block.end, predicted))
+                pcs.append(head)
                 pending = []
+                head = None
             elif (name in _UNCONDITIONAL and position != last_position
                     and index == last_index):
                 # A chained jmp/jal's pc write is dead — the next unit
@@ -698,14 +785,20 @@ def build_superblock(cpu, start):
             else:
                 if pending:
                     units.append(_alu_unit(pending))
+                    pcs.append(head)
                     pending = []
                 if name in _LOAD_TEMPLATES:
                     units.append(_load_unit(closure, decoded))
                 else:
-                    units.append(("mem" if is_mem else "op", 0, 1, closure))
+                    units.append(("mem" if is_mem else "op", 0, 1, closure,
+                                  decoded.spec.cycles
+                                  + decoded.spec.taken_extra))
+                pcs.append(address)
+                head = None
             address = (address + 4) & _WORD
     if pending:
         units.append(_alu_unit(pending))
+        pcs.append(head)
 
     # On full completion the pc is the final block's fall-through, the
     # final branch's predicted target, or whatever the final closure
@@ -722,11 +815,11 @@ def build_superblock(cpu, start):
     # settled here because any breakpoint change drops every superblock.
     reenter = not breakpoints.has_code(start) and any(
         _re_enters(unit, start) for unit in units)
-    source, closures = _generate(start, units, end_pc, total_steps,
-                                 max_cycles, reenter)
+    source, closures, minimum = _generate(
+        start, units, pcs, end_pc, (max_cycles, total_steps), reenter)
     source, make = _compile(source)
     ranges = tuple(sorted(set(
         (block.start, block.end) for block, _predicted in chained)))
     block_starts = tuple(block.start for block, _predicted in chained)
     return Superblock(start, make(*closures), source, total_steps,
-                      max_cycles, ranges, block_starts)
+                      max_cycles, minimum, ranges, block_starts)

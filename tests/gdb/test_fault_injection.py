@@ -4,6 +4,7 @@ import pytest
 
 from repro.cosim.channels import Pipe
 from repro.errors import RspError
+from repro.gdb import rsp
 from repro.gdb.client import GdbClient
 from repro.gdb.stub import GdbStub
 from tests.support import make_cpu
@@ -78,3 +79,58 @@ class TestRetransmission:
         client.write_memory_word(address, 0x1234)
         assert cpu.memory.load_word(address) == 0x1234
         assert client.retransmissions == 1
+
+
+class _ScriptedEndpoint:
+    """A reliable-looking endpoint delivering one scripted batch per recv_all."""
+
+    reliable = True
+
+    def __init__(self, *batches):
+        self.batches = [[rsp.frame(text) for text in batch]
+                        for batch in batches]
+        self.sent = []
+
+    def send(self, packet):
+        self.sent.append(packet)
+
+    def recv_all(self):
+        return self.batches.pop(0) if self.batches else []
+
+    def recv(self):
+        return None
+
+    def poll(self):
+        return bool(self.batches)
+
+
+STOP = "T05pc:00000010;"
+STATUS = "Status:stopped;pc:00000010;cycles:5"
+
+
+class TestDelayedReply:
+    """A reply delayed by link faults can trail the target's stops."""
+
+    def test_stop_before_a_delayed_reply_is_stashed(self):
+        client = GdbClient(_ScriptedEndpoint([STOP], [], [STATUS]),
+                           pump=lambda: None)
+        assert client.query_status()["Status"] == "stopped"
+        assert client.poll_stop().pc == 0x10
+        assert client.poll_stop() is None
+
+    def test_stop_after_the_reply_is_stashed(self):
+        client = GdbClient(_ScriptedEndpoint([STATUS, STOP]),
+                           pump=lambda: None)
+        assert client.query_status()["pc"] == "00000010"
+        assert client.poll_stop().pc == 0x10
+
+    def test_step_reply_is_itself_a_stop(self):
+        client = GdbClient(_ScriptedEndpoint([STOP]), pump=lambda: None)
+        assert client.step().pc == 0x10
+        assert client.poll_stop() is None
+
+    def test_only_stops_and_no_reply_raises(self):
+        client = GdbClient(_ScriptedEndpoint([STOP]), pump=lambda: None,
+                           reply_wait_polls=3)
+        with pytest.raises(RspError, match="no reply"):
+            client.query_status()

@@ -10,9 +10,10 @@ DMI run must itself be byte-identical between serial and parallel
 execution (the same argument docs/parallel.md makes).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cosim.faults import FaultPlan
 from repro.obs.scenarios import run_traced_scenario
 from repro.obs.spans import spans_from_tracer
 from repro.obs.tracer import dump_events
@@ -101,8 +102,16 @@ def test_dmi_parallel_is_byte_identical_to_serial(scheme, seed, quantum):
     assert parallel["stats"] == serial["stats"]
 
 
+#: A plan whose delay fault holds a GDB-Wrapper ``qStatus`` reply back
+#: until after a breakpoint stop, 3 us into the run.
+DELAYED_REPLY_PLAN = FaultPlan(seed=4318, drop=0.02, duplicate=0.02,
+                               reorder=0.0, corrupt=0.02, delay=0.02,
+                               delay_polls=2)
+
+
 @given(scheme=schemes, seed=seeds, quantum=st.sampled_from([1, 8]),
        plan=fault_plans())
+@example(scheme="gdb-wrapper", seed=0, quantum=1, plan=DELAYED_REPLY_PLAN)
 @settings(**SIM_SETTINGS)
 def test_faulty_contexts_never_leave_the_transactional_tier(
         scheme, seed, quantum, plan):
@@ -115,6 +124,15 @@ def test_faulty_contexts_never_leave_the_transactional_tier(
                              fault_plan=plan, reliability=True)
     assert dmi_run["trace"] == transactional["trace"]
     assert dmi_run["raw_metrics"] == transactional["raw_metrics"]
+
+
+def test_reply_delayed_behind_a_stop_keeps_gdb_wrapper_running():
+    runs = [_outcome("gdb-wrapper", 0, 1, dmi=dmi,
+                     fault_plan=DELAYED_REPLY_PLAN, reliability=True)
+            for dmi in (True, False)]
+    assert runs[0]["trace"] == runs[1]["trace"]
+    assert runs[0]["raw_metrics"] == runs[1]["raw_metrics"]
+    assert runs[1]["stats"][2] > 0
 
 
 def test_dmi_eliminates_transfer_traffic_at_quantum_8():

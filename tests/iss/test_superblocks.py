@@ -3,9 +3,10 @@
 The three-way differential suite in ``test_differential.py`` proves
 tier equivalence over random instruction streams; these tests pin the
 superblock *machinery* itself — profiler-driven promotion, chain
-formation (loop unrolling, if-conversion), the budget precheck that
-degrades the tier exactly where quantum batching degrades, and every
-invalidation rule of the word-precise SMC contract.
+formation (loop unrolling, if-conversion), the bounded loop passes and
+the minimum-budget precheck that degrades the tier exactly where
+quantum batching degrades, and every invalidation rule of the
+word-precise SMC contract.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.iss.memory import MmioRegion
 from repro.iss.profile import HOT_THRESHOLD, BlockProfiler
 from repro.iss.superblocks import MAX_SUPERBLOCK_STEPS, build_superblock
 from repro.obs.tracer import Tracer
+from tests.iss import test_code_coherence as code_coherence
 from tests.support import make_cpu, run_to_halt
 
 COUNTER_LOOP = """
@@ -183,10 +185,12 @@ class TestFormation:
         start = prog.symbols.resolve("crc_bit_loop")
         superblock = build_superblock(cpu, start)
         source = superblock.source
-        # The bit loop unrolls 32 times; its period is generated once.
+        # The bit loop unrolls 32 times; its period is generated once,
+        # and the function runs as many of the 32 passes as fit.
         assert superblock.count == MAX_SUPERBLOCK_STEPS
         assert source.count("for i in range(") == 1
-        assert "for i in range(32):" in source
+        assert "for i in range(m):" in source
+        assert "m = 32\n" in source
         assert source.count("r[2] = r[2] >> 1") == 1
         # CPUs running the same program share one compiled code object.
         other, __ = _hot_cpu(CRC_PROGRAM)
@@ -201,7 +205,8 @@ class TestFormation:
                             2 * superblocks.MAX_CHAIN_BLOCKS)
         longer = build_superblock(cpu, start)
         assert longer.count == 2 * superblock.count
-        assert "for i in range(64):" in longer.source
+        assert "m = 64\n" in longer.source
+        assert longer.source.count("for i in range(") == 1
         assert len(longer.source) == len(source)
 
 
@@ -221,22 +226,33 @@ class TestEquivalence:
         assert cpu.last_stop is StopReason.INSTRUCTION_LIMIT
 
     def test_budget_precheck_degrades_to_blocks(self):
-        states = []
-        for tier in ("blocks", "superblocks"):
-            cpu, _, __ = make_cpu(COUNTER_LOOP)
-            cpu.tier = tier
-            cpu.block_profiler.hot_threshold = 2
-            while cpu.run(max_instructions=4) \
-                    is StopReason.INSTRUCTION_LIMIT:
-                pass
-            states.append((list(cpu.regs), cpu.pc, cpu.cycles,
-                           cpu.instructions))
-            if tier == "superblocks":
-                # Promotion happened, but no 4-instruction budget can
-                # cover a whole chain: execution stayed per-block.
+        cpu, prog = _hot_cpu(COUNTER_LOOP)
+        superblock = build_superblock(cpu, prog.symbols.resolve("loop"))
+        # One pass of the loop (addi, taken bne) is the least budget
+        # the superblock runs on; the whole chain is 64 passes.
+        assert (superblock.min_count, superblock.min_cycles) == (2, 3)
+        for limit, minimum, stop in (
+                ("max_instructions", superblock.min_count,
+                 StopReason.INSTRUCTION_LIMIT),
+                ("max_cycles", superblock.min_cycles,
+                 StopReason.CYCLE_LIMIT)):
+            for budget in (minimum - 1, minimum):
+                states = []
+                for tier in ("blocks", "superblocks"):
+                    cpu, _, __ = make_cpu(COUNTER_LOOP)
+                    cpu.tier = tier
+                    cpu.block_profiler.hot_threshold = 2
+                    cpu.run(max_instructions=2)    # to the loop head
+                    while cpu.run(**{limit: budget}) is stop:
+                        pass
+                    states.append((list(cpu.regs), cpu.pc, cpu.cycles,
+                                   cpu.instructions))
+                assert states[0] == states[1]
+                # Promotion happened either way; below the minimum
+                # execution stayed per-block, at it each chunk ran a
+                # pass in the superblock.
                 assert cpu.superblocks_compiled >= 1
-                assert cpu.superblock_exits == 0
-        assert states[0] == states[1]
+                assert (cpu.superblock_exits > 0) == (budget == minimum)
 
     def test_watchpoint_fires_inside_superblock(self):
         source = """
@@ -396,6 +412,83 @@ inner:
 """ % IRQ_BASE
 
 
+# A loop summing memory words, so its re-rolled period holds a load.
+LOAD_LOOP = """
+    la r0, buf
+    li r3, 0
+    li r4, 1000
+loop:
+    lw r5, [r0]
+    add r2, r2, r5
+    addi r0, r0, 4
+    addi r4, r4, -1
+    bne r4, r3, loop
+    halt
+buf:
+    .word 3, 5, 7, 11
+"""
+
+
+def _arm_crc(label, crc):
+    """Start the CRC routine at *label* with *crc* and a bit counter
+    that never runs out, so every pass the budget allows stays in the
+    loop."""
+    def arm(cpu, prog):
+        cpu.block_profiler.hot_threshold = 1
+        cpu.pc = prog.symbols.resolve(label)
+        cpu.regs[0] = prog.symbols.variable_address("table")
+        cpu.regs[1] = 16
+        cpu.regs[2] = crc
+        cpu.regs[6] = 1000
+    return arm
+
+
+def _arm_load_loop(cpu, prog):
+    cpu.block_profiler.hot_threshold = 1
+    cpu.pc = prog.symbols.resolve("loop")
+    cpu.regs[0] = prog.symbols.variable_address("buf")
+    cpu.regs[4] = 1000
+
+
+# ``(source, arm, label)``: the armed CPU enters the superblock at
+# *label* on its first dispatch.  crc_skip's superblock re-enters itself
+# whenever its last bit skips the polynomial xor, which a zero crc
+# always does.
+BOUNDED_LOOPS = {
+    "bit-loop": (CRC_PROGRAM, _arm_crc("crc_bit_loop", 0x12345678),
+                 "crc_bit_loop"),
+    "load-loop": (LOAD_LOOP, _arm_load_loop, "loop"),
+    "re-entering": (CRC_PROGRAM, _arm_crc("crc_skip", 0), "crc_skip"),
+}
+
+
+def _check_limits(monkeypatch):
+    """Wrap every superblock built from now on so each run asserts it
+    ended within the limits it was given; returns the exits per run."""
+    build = superblocks.build_superblock
+    runs = []
+
+    def checked_build(cpu, start):
+        superblock = build(cpu, start)
+        if superblock is None:
+            return None
+        run = superblock.run
+
+        def checked(cpu, regs, memory, instruction_limit, cycle_limit):
+            exits = cpu.superblock_exits
+            run(cpu, regs, memory, instruction_limit, cycle_limit)
+            assert instruction_limit is None \
+                or cpu.instructions <= instruction_limit
+            assert cycle_limit is None or cpu.cycles <= cycle_limit
+            runs.append((start, cpu.superblock_exits - exits))
+
+        superblock.run = checked
+        return superblock
+
+    monkeypatch.setattr(superblocks, "build_superblock", checked_build)
+    return runs
+
+
 class _RomDevice(MmioRegion):
     """A read-only window of deterministic words that counts its reads."""
 
@@ -409,13 +502,32 @@ class _RomDevice(MmioRegion):
 
 
 # Superblock exit counters, ``(superblock_exits, superblock_side_exits,
-# side_exit_sites)``, recorded from the per-unit executor that the
-# generated functions replaced.
-EXPECTED_SWEEP_TOTALS = [2063, 2063]
-EXPECTED_SWEEP_SITES = {0x24: 29, 0x28: 192, 0x34: 197, 0x38: 5,
-                        0x3C: 8, 0x40: 352, 0x44: 1, 0x48: 2, 0x4C: 140,
-                        0x50: 7, 0x54: 1130}
-EXPECTED_PASS_EXITS = [(1, 1, {0x34: 1})] * 32 + [(1, 0, {})]
+# side_exit_sites)``.  The sweep and pass literals were regenerated when
+# re-rolled loops became budget-bounded: more budgets enter superblocks.
+EXPECTED_SWEEP_TOTALS = [5004, 5004]
+EXPECTED_SWEEP_SITES = {0x24: 29, 0x28: 264, 0x34: 280, 0x38: 5,
+                        0x3C: 8, 0x40: 375, 0x44: 1, 0x48: 2, 0x4C: 389,
+                        0x50: 7, 0x54: 3644}
+# Per bit count 1..33; the first exit of each is the bit loop's, in pass
+# r6 - 1 (0x34 marks the loop exit to 0x54; 33 completes the chain).
+EXPECTED_PASS_EXITS = [
+    (5, 5, {0x34: 1, 0x54: 4}), (6, 6, {0x34: 1, 0x54: 4, 0x4C: 1}),
+    (6, 6, {0x34: 1, 0x54: 4, 0x4C: 1}), (7, 7, {0x34: 1, 0x54: 4, 0x4C: 2}),
+    (7, 7, {0x34: 1, 0x54: 4, 0x4C: 2}), (5, 5, {0x34: 1, 0x54: 4}),
+    (6, 6, {0x34: 1, 0x54: 4, 0x4C: 1}), (5, 5, {0x34: 1, 0x54: 3, 0x4C: 1}),
+    (5, 5, {0x34: 1, 0x54: 3, 0x4C: 1}), (5, 5, {0x34: 1, 0x54: 4}),
+    (5, 5, {0x34: 1, 0x54: 3, 0x4C: 1}), (5, 5, {0x34: 1, 0x54: 3, 0x4C: 1}),
+    (5, 5, {0x34: 1, 0x54: 3, 0x4C: 1}), (4, 4, {0x34: 1, 0x54: 3}),
+    (5, 5, {0x34: 1, 0x54: 3, 0x4C: 1}), (4, 4, {0x34: 1, 0x54: 3}),
+    (5, 5, {0x34: 1, 0x54: 3, 0x4C: 1}), (4, 4, {0x34: 1, 0x54: 3}),
+    (3, 3, {0x34: 1, 0x54: 2}), (4, 4, {0x34: 1, 0x54: 2, 0x4C: 1}),
+    (4, 4, {0x34: 1, 0x54: 2, 0x4C: 1}), (4, 4, {0x34: 1, 0x54: 2, 0x4C: 1}),
+    (4, 4, {0x34: 1, 0x54: 2, 0x4C: 1}), (4, 4, {0x34: 1, 0x54: 2, 0x4C: 1}),
+    (3, 3, {0x34: 1, 0x54: 2}), (3, 3, {0x34: 1, 0x54: 2}),
+    (4, 4, {0x34: 1, 0x54: 2, 0x4C: 1}), (3, 3, {0x34: 1, 0x54: 1, 0x4C: 1}),
+    (3, 3, {0x34: 1, 0x54: 1, 0x4C: 1}), (3, 3, {0x34: 1, 0x54: 1, 0x4C: 1}),
+    (3, 3, {0x34: 1, 0x54: 1, 0x4C: 1}), (3, 3, {0x34: 1, 0x54: 1, 0x4C: 1}),
+    (4, 3, {0x34: 1, 0x54: 1, 0x4C: 1})]
 EXPECTED_FAULT_EXITS = (1, 1, {0x10: 1})
 EXPECTED_WATCH_EXITS = (1, 1, {0x10: 1})
 EXPECTED_SMC_EXITS = (3, 3, {0x40: 2, 0x48: 1})
@@ -430,20 +542,22 @@ RE_ENTRY_SWEEPS = {"countdown": (COUNTDOWN, 207, 1),
                    "crc32": (CRC_PROGRAM, 964, 3)}
 
 # ``_counts`` (exit counters plus profiler entry counts), recorded from
-# the dispatcher round trip that in-place re-entry replaced.
+# the dispatcher round trip that in-place re-entry replaced; the crc32
+# entries were regenerated when re-rolled loops became budget-bounded.
 EXPECTED_LIMIT_SWEEPS = {
     "countdown": ([4802, 4800], {0x1C: 4800},
                   {0x0: 206, 0x14: 298, 0x1C: 5200}),
-    "crc32": ([1480, 1480], {0x28: 212, 0x40: 228, 0x54: 1040},
-              {0x0: 321, 0x14: 319, 0x24: 1334, 0x28: 1646, 0x34: 7576,
-               0x40: 4857, 0x4C: 4009, 0x54: 2390, 0x60: 1}),
+    "crc32": ([2744, 2744], {0x28: 291, 0x34: 146, 0x40: 309, 0x4C: 1,
+                             0x54: 1997},
+              {0x0: 321, 0x14: 319, 0x24: 377, 0x28: 689, 0x34: 709,
+               0x40: 724, 0x4C: 369, 0x54: 2390, 0x60: 1}),
 }
 EXPECTED_CYCLE_SWEEPS = {
     "countdown": ([5929, 5928], {0x1C: 5928},
                   {0x0: 257, 0x14: 396, 0x1C: 6475}),
-    "crc32": ([1919, 1919], {0x28: 267, 0x40: 287, 0x54: 1365},
-              {0x0: 402, 0x10: 12, 0x14: 400, 0x24: 1724, 0x28: 2102,
-               0x34: 9791, 0x40: 6259, 0x4C: 5199, 0x54: 3111, 0x60: 13}),
+    "crc32": ([3451, 3451], {0x28: 370, 0x34: 77, 0x40: 388, 0x54: 2616},
+              {0x0: 402, 0x10: 12, 0x14: 400, 0x24: 473, 0x28: 858,
+               0x34: 764, 0x40: 916, 0x4C: 409, 0x54: 3111, 0x60: 13}),
 }
 EXPECTED_BREAKPOINT_COUNTS = (49, 48, {0x1C: 48},
                               {0x0: 1, 0x14: 1, 0x1C: 50})
@@ -506,10 +620,11 @@ def _to_halt_in_chunks(limit):
 class TestExits:
     """Every exit of the generated function commits exact state."""
 
-    def test_instruction_limit_sweep_over_the_crc_chain(self):
+    def test_instruction_limit_sweep_over_the_crc_chain(self, monkeypatch):
         # Chunks of 256..511 instructions: each chunk can run one whole
         # superblock, and its limit then stops 1..256 steps later, so
         # chains are entered, and side-exit, at every phase.
+        _check_limits(monkeypatch)
         totals = [0, 0]
         sites = {}
         for extra in range(1, MAX_SUPERBLOCK_STEPS + 1):
@@ -591,7 +706,9 @@ class TestExits:
         assert _counts(cpu) == (50, 49, {start: 49}, {start: 48})
 
     @pytest.mark.parametrize("name", sorted(RE_ENTRY_SWEEPS))
-    def test_instruction_limit_ends_inside_every_pass(self, name):
+    def test_instruction_limit_ends_inside_every_pass(self, name,
+                                                      monkeypatch):
+        _check_limits(monkeypatch)
         source, last, step = RE_ENTRY_SWEEPS[name]
         counts = _sweep(source, range(1, last, step),
                         lambda limit: lambda cpu: cpu.run(
@@ -599,7 +716,8 @@ class TestExits:
         assert counts == EXPECTED_LIMIT_SWEEPS[name]
 
     @pytest.mark.parametrize("name", sorted(RE_ENTRY_SWEEPS))
-    def test_cycle_limit_ends_inside_every_pass(self, name):
+    def test_cycle_limit_ends_inside_every_pass(self, name, monkeypatch):
+        _check_limits(monkeypatch)
         source, last, step = RE_ENTRY_SWEEPS[name]
         counts = _sweep(source, range(1, last + last // 4, step),
                         lambda limit: lambda cpu: cpu.run(max_cycles=limit))
@@ -645,6 +763,35 @@ class TestExits:
         cpu = _drive_tiers(LATE_FAULT_LOOP % delta, drive)
         assert cpu.regs[4] == 4
         assert _counts(cpu) == EXPECTED_LATE_FAULT_COUNTS
+
+    # -- a budget that covers only part of a re-rolled loop ----------------
+
+    @pytest.mark.parametrize("limit", ["max_instructions", "max_cycles"])
+    @pytest.mark.parametrize("name", sorted(BOUNDED_LOOPS))
+    def test_budget_ends_inside_every_pass(self, name, limit, monkeypatch):
+        # Budgets from 1 to past two whole chains: below the minimum
+        # the run stays per-block; from it on, the superblock runs
+        # every pass count the budget covers and never passes a limit.
+        source, arm, label = BOUNDED_LOOPS[name]
+        cpu, prog = _hot_cpu(source)
+        arm(cpu, prog)
+        start = prog.symbols.resolve(label)
+        superblock = build_superblock(cpu, start)
+        minimum, whole = {
+            "max_instructions": (superblock.min_count, superblock.count),
+            "max_cycles": (superblock.min_cycles, superblock.max_cycles),
+        }[limit]
+        assert minimum < whole // 16
+        runs = _check_limits(monkeypatch)
+        re_entered = False
+        for budget in range(1, 2 * whole + minimum):
+            del runs[:]
+            _drive_tiers(source, lambda cpu: cpu.run(**{limit: budget}),
+                         arm=arm)
+            entered = [exits for pc, exits in runs if pc == start]
+            assert bool(entered) == (budget >= minimum)
+            re_entered = re_entered or any(exits > 1 for exits in entered)
+        assert re_entered == (name == "re-entering")
 
     def test_mmio_store_raises_irq_in_a_later_pass(self):
         def arm(cpu, prog):
@@ -711,6 +858,43 @@ class TestInvalidation:
         assert not cpu._superblocks_by_page
         assert not cpu._superblock_failed
         assert cpu.superblock_invalidations > before
+
+
+def _undecoded_words(cpu):
+    """Words a cached block or superblock covers that were not decoded."""
+    spans = [(block.start, block.end) for block in cpu._block_cache.values()]
+    spans += [span for superblock in cpu._superblock_cache.values()
+              for span in superblock.ranges]
+    decoded = cpu._decoded_pages
+    return [word for begin, end in spans for word in range(begin, end, 4)
+            if word not in decoded.get(word >> 8, ())]
+
+
+class TestDecodedWords:
+    """Compiled code covers only decoded words, so a store to any other
+    word on a code page returns after one set lookup."""
+
+    @pytest.mark.parametrize("tier", ["blocks", "superblocks"])
+    @pytest.mark.parametrize("source", [COUNTER_LOOP, SKIP_LOOP, CRC_PROGRAM,
+                                        SMC_LOOP, COUNTDOWN, LOAD_LOOP],
+                             ids=["counter", "skip", "crc32", "smc",
+                                  "countdown", "load"])
+    def test_compiled_code_covers_only_decoded_words(self, tier, source):
+        cpu, _, __ = make_cpu(source)
+        cpu.tier = tier
+        cpu.block_profiler.hot_threshold = 2
+        while cpu.run(max_instructions=7) is StopReason.INSTRUCTION_LIMIT:
+            assert not _undecoded_words(cpu)
+        assert cpu.last_stop is StopReason.HALT
+        assert cpu._block_cache
+        assert not _undecoded_words(cpu)
+
+    @pytest.mark.parametrize("tier", ["blocks", "superblocks"])
+    def test_host_code_writes_keep_the_invariant(self, tier):
+        cpu, resolve = code_coherence._cpu(tier)
+        code_coherence._host_write_sequence(cpu, resolve)
+        assert cpu.block_invalidations > 0
+        assert not _undecoded_words(cpu)
 
 
 class TestTierSelection:
