@@ -1,0 +1,69 @@
+"""Per-timestep cost gate: Python calls per SystemC timestep.
+
+A lock-step co-simulation pays a fixed path at every SystemC timestep:
+the scheduler's phases, the clock edge, the scheme's time-advance hook,
+the RTOS advance and the telemetry sample.  Wall time on a shared host
+is too noisy to gate that path; the number of Python calls cProfile
+counts per timestep is deterministic, so it is gated instead:
+
+- a kernel with nothing but a 1 us clock;
+- the wall benchmark's ``table1`` Driver-Kernel cell (seed 42), over
+  2 000 us after a 100 us warm-up.
+
+Each bound is the count measured when the lean timestep landed
+(CPython 3.11) plus 10%.  A change that puts calls back on the path
+fails here; one that removes more should lower the bound.
+"""
+
+import cProfile
+import pstats
+import sys
+from pathlib import Path
+
+from repro.router.system import RouterSystem
+from repro.sysc.clock import Clock
+from repro.sysc.kernel import Kernel
+from repro.sysc.simtime import US
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "wall"))
+from workloads import router_config  # noqa: E402
+
+WARMUP = 100 * US
+SPAN = 2000 * US
+#: Calls per timestep when the lean timestep landed, plus 10%.
+BARE_CLOCK_BOUND = 18.0 * 1.10
+DRIVER_CELL_BOUND = 83.8 * 1.10
+
+
+def calls_per_timestep(kernel, run):
+    """Warm up, then profile *run* over the span: calls / timestep."""
+    run(WARMUP)
+    before = kernel.timestep_count
+    profile = cProfile.Profile()
+    profile.enable()
+    run(SPAN)
+    profile.disable()
+    return (pstats.Stats(profile).total_calls
+            / (kernel.timestep_count - before))
+
+
+def test_bare_clock_timestep(bench_report, summary):
+    kernel = Kernel("bare")
+    Clock(1 * US, kernel=kernel)
+    calls = calls_per_timestep(kernel, kernel.run)
+    bench_report.record(calls_per_timestep=round(calls, 2))
+    summary("per-timestep cost, bare 1 us clock: %.2f calls "
+            "(bound %.1f)" % (calls, BARE_CLOCK_BOUND))
+    assert calls <= BARE_CLOCK_BOUND
+
+
+def test_table1_driver_kernel_timestep(bench_report, summary):
+    system = RouterSystem(router_config("table1", "driver-kernel", 42))
+    try:
+        calls = calls_per_timestep(system.kernel, system.run)
+    finally:
+        system.close()
+    bench_report.record(calls_per_timestep=round(calls, 2))
+    summary("per-timestep cost, table1 driver-kernel: %.2f calls "
+            "(bound %.1f)" % (calls, DRIVER_CELL_BOUND))
+    assert calls <= DRIVER_CELL_BOUND

@@ -31,7 +31,6 @@ import base64
 import hashlib
 import json
 import os
-import pickle
 import time
 import zlib
 from dataclasses import replace as dataclass_replace
@@ -40,7 +39,7 @@ from repro.errors import CheckpointError, RecoverableCrashError, parse_crash
 from repro.cosim.metrics import QUARANTINE_WATCHDOG, QUARANTINE_WORKER
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Codes the default recovery policy heals.  ``transport-error`` is
 #: deliberately absent: a deterministic fault-injected link would fail
@@ -211,6 +210,16 @@ def _event_tuple(event):
             tuple(sorted(event.args.items())))
 
 
+def _encode_events(events):
+    """The value encoding a digest block hashes: canonical JSON.
+
+    It depends only on the events' values.  Pickle bytes also depend on
+    which objects are shared, which differs between a serial run and a
+    process-parallel run whose events were replayed from a worker.
+    """
+    return _canonical([_event_tuple(e) for e in events]).encode("utf-8")
+
+
 def _trace_digest(tracer):
     """Rolling sha256 over the trace, incremental across captures.
 
@@ -218,7 +227,7 @@ def _trace_digest(tracer):
     running hasher has consumed, so periodic checkpoints cost
     O(new events) each instead of re-hashing the whole trace every
     slice (which made auto-checkpointing quadratic in run length).
-    Blocks are pickled in bulk — C-speed — rather than serialised
+    Blocks are encoded in bulk (:func:`_encode_events`) rather than
     event by event.  The cache is invalidated whenever the ring
     dropped events or shrank.
     """
@@ -233,15 +242,14 @@ def _trace_digest(tracer):
     hasher = hasher.copy()
     last_complete = total - total % _DIGEST_BLOCK
     while consumed < last_complete:
-        block = events[consumed:consumed + _DIGEST_BLOCK]
-        hasher.update(pickle.dumps([_event_tuple(e) for e in block], 4))
+        hasher.update(_encode_events(
+            events[consumed:consumed + _DIGEST_BLOCK]))
         consumed += _DIGEST_BLOCK
     tracer._checkpoint_digest_cache = (
         consumed, hasher.copy(), tracer.dropped,
         events[consumed - 1].seq if consumed else None)
     if consumed < total:
-        hasher.update(pickle.dumps(
-            [_event_tuple(e) for e in events[consumed:]], 4))
+        hasher.update(_encode_events(events[consumed:]))
     return hasher.hexdigest()
 
 

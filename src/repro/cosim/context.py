@@ -26,6 +26,7 @@ and, for Driver-Kernel, interrupt delivery at cycle end.  See
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.cosim.binding import ClockBinding
 from repro.cosim.channels import Pipe
@@ -104,9 +105,8 @@ class GdbContext(Context):
     # budget should be granted immediately.
     attention_serviced: bool = False
 
-    @property
-    def finished(self):
-        return self.driver.finished
+    #: The target exited (a C-level getter, read per timestep).
+    finished = property(attrgetter("driver.finished"))
 
     @property
     def progress(self):

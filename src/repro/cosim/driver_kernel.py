@@ -23,6 +23,7 @@ parallel round — is :mod:`repro.cosim.context`'s.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import CosimError
 from repro.cosim.binding import ClockBinding
@@ -62,9 +63,9 @@ class RtosContext(Context):
     # then (e.g. a READ_REPLY the guest is blocked on) forces a sync.
     _synced_activity: int = 0
 
-    @property
-    def finished(self):
-        return self.cpu.halted
+    #: The guest halted.  A C-level getter: ``_advance`` reads it for
+    #: every context at every timestep.
+    finished = property(attrgetter("cpu.halted"))
 
     @property
     def progress(self):
@@ -184,7 +185,10 @@ class DriverKernelScheme(ContextScheme, KernelHook):
         (an in-flight interrupt message, a raised IRQ line, or a
         deliverable vector), so ISR latency is unchanged by batching.
         """
-        self._transport(self._advance, kernel.now)
+        if self.attrib is None:
+            self._advance(kernel.now)
+        else:
+            self._transport(self._advance, kernel.now)
 
     def _run(self, context, budget):
         """One RTOS advance."""

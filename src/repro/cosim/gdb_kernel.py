@@ -57,7 +57,10 @@ class GdbKernelScheme(GdbScheme, KernelHook):
 
     def on_time_advance(self, kernel):
         """Grant each ISS its cycle budget and drive it."""
-        self._transport(self._advance, kernel.now)
+        if self.attrib is None:
+            self._advance(kernel.now)
+        else:
+            self._transport(self._advance, kernel.now)
 
     def _run(self, context, budget):
         """One grant+drive round trip."""
@@ -73,10 +76,8 @@ class GdbKernelScheme(GdbScheme, KernelHook):
         """Exactly the conditions under which quantum batching already
         degrades, plus resilience layers (their RNG draw order is part
         of determinism)."""
-        driver = context.driver
         return (context.parallel_safe
-                and driver.held_at is None
-                and not driver.needs_attention
+                and not context.driver.peek_attention()
                 and not self._must_sync(context))
 
     def _prefetch_job(self, context, budget):

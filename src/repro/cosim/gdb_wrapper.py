@@ -200,8 +200,8 @@ class GdbWrapperScheme(GdbScheme):
             # timers tick, transport events emit), which must happen at
             # this wrapper's serial slot to keep the trace identical to
             # a serial run.
-            if (not context.parallel_safe or driver.held_at is not None
-                    or driver.needs_attention or self._must_sync(context)):
+            if (not context.parallel_safe or driver.peek_attention()
+                    or self._must_sync(context)):
                 return SERIAL_SYNC, None, None, None
             if not binding.due():
                 return None
@@ -210,7 +210,7 @@ class GdbWrapperScheme(GdbScheme):
             return (SYNC, budget, (steps, warp),
                     self._prefetch_job(context, budget, warp))
         if (not context.parallel_safe or self._must_sync(context)
-                or driver.held_at is not None or driver.needs_attention):
+                or driver.peek_attention()):
             return SERIAL_GRANT, None, None, None
         budget = binding.cycles_for_advance(now)
         return GRANT, budget, None, self._prefetch_job(context, budget)

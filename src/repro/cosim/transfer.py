@@ -182,6 +182,14 @@ class TargetDriver:
         """True when drive() has (or may have) work to do right now."""
         return self.held_at is not None or self.client.poll_cheap()
 
+    def peek_attention(self):
+        """:attr:`needs_attention` without counting a pipe poll.
+
+        For parallel planning: the poll count is checkpointed state, and
+        a serial run never plans, so planning must not poll.
+        """
+        return self.held_at is not None or self.client.peek_pending()
+
     def grant(self, cycles):
         """Award execution budget (called as SystemC time advances)."""
         self.budget_remaining += cycles

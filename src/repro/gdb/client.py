@@ -168,6 +168,10 @@ class GdbClient:
         """O(1): is *anything* pending (stashed or on the pipe)?"""
         return bool(self._stashed_stops) or self.endpoint.poll()
 
+    def peek_pending(self):
+        """:meth:`poll_cheap` without counting a poll on the endpoint."""
+        return bool(self._stashed_stops) or self.endpoint.pending > 0
+
     def poll_stop(self):
         """Return the next pending :class:`StopEvent`, or None."""
         if self._stashed_stops:

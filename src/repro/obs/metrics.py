@@ -21,13 +21,11 @@ scheme x quantum x tier).  Checkpoints serialize the series through
 
 The module also renders any flat counter mapping in the Prometheus
 text exposition format (``repro metrics --format prom``), so the
-series doubles as a scrape surface for the ROADMAP item-1 session
-server.
+series doubles as a scrape surface.
 """
 
 from collections import deque
-from functools import partial
-from operator import itemgetter
+from operator import getitem
 
 #: Default ring capacity: at one point per committed quantum this
 #: covers hours of the pinned scenarios; eviction is counted, never
@@ -226,8 +224,9 @@ class MetricsSampler:
     At lock-step every timestep syncs, so every timestep is a point:
     the sample itself is on the Table 1 hot path.  Its counter layout
     is therefore resolved once, at construction (see
-    :meth:`_resolve_layout`), and a point costs a few C-level getter
-    calls and one tuple, with no per-sample dicts or attribute lookups.
+    :meth:`_resolve_layout`), and a point costs one C-level pass over
+    the counters and one tuple, with no per-sample dicts or attribute
+    lookups.
     """
 
     def __init__(self, system, capacity=DEFAULT_SERIES_CAPACITY):
@@ -255,8 +254,19 @@ class MetricsSampler:
         if progress == self._last_progress:
             return None
         self._last_progress = progress
-        point = self.series.append(kernel.now, kernel.timestep_count,
-                                   self._values(kernel))
+        # The counters, read in series order straight out of their
+        # owners' instance dicts (see _resolve_layout).  Through a list:
+        # a tuple grown from an iterator keeps the larger block it grew
+        # into, and the ring holds thousands of them.
+        values = tuple(list(map(getitem, self._sources, self._names)))
+        # MetricsSeries.append, inlined: at lock-step this runs every
+        # timestep.
+        series = self.series
+        points = series._points
+        if len(points) == points.maxlen:
+            series.evicted += 1
+        point = MetricsPoint(kernel.now, kernel.timestep_count, values)
+        points.append(point)
         bus = self._bus
         if bus is not None:
             payload = dict(zip(self.series.counters, point.values))
@@ -266,56 +276,48 @@ class MetricsSampler:
         return point
 
     def _resolve_layout(self, counters):
-        """Resolve, once, how a point's counters are read.
+        """Resolve, once, where each counter of a point is read.
 
-        One getter reads every CosimMetrics field of the series, one
-        the CPU tier counters off each CPU and one the warp counters
-        off each binding (see :func:`_counter_reader`); the per-CPU and
-        per-binding rows are summed column-wise, and one ``itemgetter``
-        puts the row ``metrics + CPU sums + warp sums +
-        (trace_dropped,)`` into the series' counter order.  A system's
-        CPUs and bindings are fixed once it is built, so they are
-        resolved here too.
+        Every counter is a plain instance attribute: a CosimMetrics
+        field, a CPU tier counter (the shared-metrics copies lag until
+        the next fold), a binding's warp counter, or the tracer's drop
+        count.  Reading it out of the owner's instance ``__dict__``
+        skips the class lookup ``getattr`` makes per name, so a point
+        is one C-level ``map(getitem, sources, names)`` in series order.
+        A tier or warp counter of several CPUs or bindings is read as
+        a column sum (:class:`_ColumnSum`).  CPU and binding counters
+        are synced to the master before the kernel runs its sinks, so
+        the values are committed state under every backend.  A
+        system's CPUs, bindings and tracer are fixed once it is built,
+        so they are resolved here too.
         """
-        metric_names = tuple(name for name in counters
-                             if name not in CPU_COUNTERS
-                             and name not in _EXTRA_COUNTERS)
-        row = metric_names + CPU_COUNTERS + WARP_COUNTERS + (
-            "trace_dropped",)
-        self._read_metrics = _counter_reader(metric_names, [self.metrics])
-        self._cpu_sums = _counter_reader(CPU_COUNTERS, self.system.cpus)
-        self._warp_sums = _counter_reader(
-            WARP_COUNTERS,
-            [binding for __, binding in self.system.bindings()])
-        self._place = itemgetter(*[row.index(name) for name in counters])
-
-    def _values(self, kernel):
-        """The counter tuple, in the series' counter order.
-
-        CPU tier counters are summed straight off the CPUs (the
-        shared-metrics copies lag until the next fold) and warp
-        counters off the bindings; both are synced to the master
-        before the kernel runs its sinks, so the values are committed
-        state under every backend.
-        """
-        return self._place((*self._read_metrics(), *self._cpu_sums(),
-                            *self._warp_sums(), kernel.tracer.dropped))
+        system = self.system
+        bindings = [binding for __, binding in system.bindings()]
+        owners = dict.fromkeys(CPU_COUNTERS, system.cpus)
+        owners.update(dict.fromkeys(WARP_COUNTERS, bindings))
+        owners["trace_dropped"] = [system.kernel.tracer]
+        sources = []
+        for name in counters:
+            namespaces = [vars(owner)
+                          for owner in owners.get(name, [self.metrics])]
+            sources.append(namespaces[0] if len(namespaces) == 1
+                           else _ColumnSum(namespaces))
+        self._sources = tuple(sources)
+        # The tracer calls its counter plain ``dropped``.
+        self._names = tuple("dropped" if name == "trace_dropped" else name
+                            for name in counters)
 
 
-def _counter_reader(names, sources):
-    """A callable returning counters *names* (two or more), summed
-    column-wise over the objects *sources* (one or more).
+class _ColumnSum:
+    """One counter summed over several instance dicts, read like one."""
 
-    The counters are plain instance attributes, so one ``itemgetter``
-    reads them straight out of each instance ``__dict__``: that skips
-    the class lookup ``getattr`` makes per name, which was most of a
-    sample's cost.
-    """
-    read_row = itemgetter(*names)
-    namespaces = [vars(source) for source in sources]
-    if len(namespaces) == 1:
-        return partial(read_row, namespaces[0])
-    return lambda: tuple(map(sum, zip(*map(read_row, namespaces))))
+    __slots__ = ("namespaces",)
+
+    def __init__(self, namespaces):
+        self.namespaces = namespaces
+
+    def __getitem__(self, name):
+        return sum(namespace[name] for namespace in self.namespaces)
 
 
 def _prom_escape(value):

@@ -8,9 +8,7 @@ tap, per-quantum ``metrics`` points from the telemetry sampler
 (:mod:`repro.obs.metrics`), ``span``/``health`` payloads from whoever
 computes them, each as a plain JSON-ready dict.  Two sinks ship now —
 :class:`NdjsonSink` (one canonical JSON line per event, the CI
-artifact format) and :class:`CallbackSink` (collect in memory); the
-asyncio session server of ROADMAP item 1 subscribes the same way
-later.
+artifact format) and :class:`CallbackSink` (collect in memory).
 
 Publication order is simulation order — taps fire at main-thread
 emission and the sampler at committed quantum boundaries — so a

@@ -20,6 +20,7 @@ application (the mechanism behind Figure 7).
 """
 
 from repro.errors import RtosError
+from repro.cosim.channels import Endpoint
 from repro.cosim.messages import MessageType, unpack_message
 from repro.iss.cpu import StopReason
 from repro.iss import syscalls as sysno
@@ -59,6 +60,7 @@ class RtosKernel:
         self.handles = {}
         self.data_endpoint = None
         self.interrupt_endpoint = None
+        self._raw_inboxes = ((), ())
         # DMI grant table of the zero-copy binding tier (docs/dmi.md);
         # set by the Driver-Kernel scheme at attach when dmi-safe.
         self.dmi = None
@@ -105,6 +107,14 @@ class RtosKernel:
         """Wire the guest side of the data and interrupt sockets."""
         self.data_endpoint = data_endpoint
         self.interrupt_endpoint = interrupt_endpoint
+        # Plain socket ends: advance may look straight at their queues
+        # and skip an empty poll.  A wrapped transport (reliable
+        # framing, injected faults) works on every receive.
+        self._raw_inboxes = None
+        if (type(data_endpoint) is Endpoint
+                and type(interrupt_endpoint) is Endpoint):
+            self._raw_inboxes = (data_endpoint._inbox,
+                                 interrupt_endpoint._inbox)
 
     # -- kernel object factories ----------------------------------------------
 
@@ -531,8 +541,15 @@ class RtosKernel:
         if not self.started:
             raise RtosError("kernel not started")
         cpu = self.cpu
+        # Skip the socket poll when both plain inboxes are empty: it
+        # would receive nothing and charge nothing.
+        inboxes = self._raw_inboxes
+        traffic = inboxes is None or inboxes[0] or inboxes[1]
         budget -= self._budget_debt
         if budget <= 0:
+            if not traffic:
+                self._budget_debt = -budget
+                return 0
             before = cpu.cycles
             self._poll_cosim()
             # Completion work charged during the poll is guest time
@@ -541,11 +558,14 @@ class RtosKernel:
             return 0
         start = cpu.cycles
         end = start + budget
-        self._poll_cosim()
-        self._wake_sleepers()
+        if traffic:
+            self._poll_cosim()
+        if self._sleepers:
+            self._wake_sleepers()
+        vectors = self.vectors
         while cpu.cycles < end and not cpu.halted:
-            if (self.vectors.has_deliverable and cpu.interrupts_enabled
-                    and not self.in_isr):
+            if (vectors.pending and vectors.has_deliverable
+                    and cpu.interrupts_enabled and not self.in_isr):
                 self._enter_isr()
                 continue
             if not self.in_isr and (

@@ -9,7 +9,7 @@ advance the ISS on every SystemC clock period.
 
 from repro.errors import SimulationError
 from repro.sysc.event import Event
-from repro.sysc.process import ProcessKind
+from repro.sysc.process import Process, ProcessKind
 from repro.sysc.signal import Signal
 from repro.sysc.simtime import check_duration
 
@@ -40,7 +40,7 @@ class Clock:
             from repro.sysc.kernel import current_kernel
 
             kernel = current_kernel()
-        kernel.add_process(name + ".gen", ProcessKind.THREAD, self._generate)
+        kernel.adopt_process(_EdgeProcess(self))
 
     def __repr__(self):
         return "Clock(%r, period=%d)" % (self.name, self.period)
@@ -49,22 +49,31 @@ class Clock:
         """Current clock level (0 or 1)."""
         return self.signal.read()
 
-    def _generate(self):
-        if self.start_high:
-            while True:
-                self.signal.write(1)
-                self.posedge_count += 1
-                self.posedge.notify_delta()
-                yield self.high_time
-                self.signal.write(0)
-                self.negedge.notify_delta()
-                yield self.low_time
+
+class _EdgeProcess(Process):
+    """The clock's thread: drive one edge, then sleep out its phase.
+
+    Scheduled exactly like a thread yielding its phase length — same
+    name, kind, heap entries and deltas — but each activation is plain
+    code: no generator to resume and no wait condition to decode.
+    """
+
+    def __init__(self, clock):
+        super().__init__(clock.name + ".gen", ProcessKind.THREAD, None)
+        self.clock = clock
+        self._rising = clock.start_high
+
+    def run(self, kernel):
+        self.trigger_count += 1
+        clock = self.clock
+        rising = self._rising
+        self._rising = not rising
+        if rising:
+            clock.signal.write(1)
+            clock.posedge_count += 1
+            clock.posedge.notify_delta()
+            kernel._queue_timed_process(self, clock.high_time)
         else:
-            while True:
-                self.signal.write(0)
-                self.negedge.notify_delta()
-                yield self.low_time
-                self.signal.write(1)
-                self.posedge_count += 1
-                self.posedge.notify_delta()
-                yield self.high_time
+            clock.signal.write(0)
+            clock.negedge.notify_delta()
+            kernel._queue_timed_process(self, clock.low_time)

@@ -66,7 +66,14 @@ class Event:
 
     def notify_delta(self):
         """Delta notification: waiters run in the next delta cycle."""
-        self._resolve_kernel()._queue_delta_event(self)
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._resolve_kernel()
+        # The set makes dedup (and Kernel._cancel_event) O(1); the list
+        # keeps the deterministic notification order.
+        if self not in kernel._delta_event_set:
+            kernel._delta_event_set.add(self)
+            kernel._delta_events.append(self)
 
     def notify_after(self, delay):
         """Timed notification after a relative *delay* (femtoseconds)."""
@@ -84,11 +91,19 @@ class Event:
 
     def _trigger(self):
         """Make every waiter runnable; consume dynamic waiters."""
-        kernel = self._resolve_kernel()
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._resolve_kernel()
+        runnable = kernel._runnable
+        # Kernel._make_runnable, inlined: this runs for every trigger.
         for process in self._static_waiters:
-            kernel._make_runnable(process, triggering_event=self)
+            if not (process.terminated or process._queued):
+                process._queued = True
+                runnable.append(process)
         if self._dynamic_waiters:
             waiters, self._dynamic_waiters = self._dynamic_waiters, []
             for process in waiters:
                 process._dynamic_triggered(self)
-                kernel._make_runnable(process, triggering_event=self)
+                if not (process.terminated or process._queued):
+                    process._queued = True
+                    runnable.append(process)

@@ -15,12 +15,14 @@ cycle, after event handling — where the Driver-Kernel scheme checks for
 pending interrupts.
 """
 
-import heapq
 import itertools
 from collections import deque
+from heapq import heappop, heappush
 
 from repro.errors import ReproError, SimulationError
 from repro.obs.tracer import NULL_TRACER
+from repro.sysc.event import Event
+from repro.sysc.hooks import KernelHook
 from repro.sysc.process import Process, ProcessKind
 from repro.sysc.simtime import check_duration, format_time
 
@@ -40,6 +42,17 @@ def set_current_kernel(kernel):
     """Install *kernel* as the ambient simulation context (or None)."""
     global _current
     _current = kernel
+
+
+def _callbacks(hooks, name):
+    """The bound *name* callbacks of *hooks*, minus KernelHook's no-ops."""
+    noop = getattr(KernelHook, name)
+    callbacks = []
+    for hook in hooks:
+        callback = getattr(hook, name)
+        if getattr(callback, "__func__", None) is not noop:
+            callbacks.append(callback)
+    return callbacks
 
 
 class Kernel:
@@ -76,7 +89,11 @@ class Kernel:
     # -- registration ------------------------------------------------------
 
     def add_hook(self, hook):
-        """Attach a scheduler extension hook (paper Sections 3.3 / 4.2)."""
+        """Attach a scheduler extension hook (paper Sections 3.3 / 4.2).
+
+        Hooks and trace sinks are bound when :meth:`run` starts, so one
+        attached from inside a run takes effect at the next call.
+        """
         self.hooks.append(hook)
         return hook
 
@@ -106,13 +123,21 @@ class Kernel:
 
     def add_process(self, name, kind, func, sensitivity=(), dont_initialize=False):
         """Create and register a process directly on the kernel."""
+        self._check_elaborating(name)
+        return self.adopt_process(
+            Process(name, kind, func, sensitivity, dont_initialize))
+
+    def adopt_process(self, process):
+        """Register an already built :class:`Process` (or subclass)."""
+        self._check_elaborating(process.name)
+        self.processes.append(process)
+        return process
+
+    def _check_elaborating(self, name):
         if self._started:
             raise SimulationError(
                 "cannot create process %r after simulation has started" % name
             )
-        process = Process(name, kind, func, sensitivity, dont_initialize)
-        self.processes.append(process)
-        return process
 
     def add_method(self, name, func, sensitivity=(), dont_initialize=False):
         """Create a method (sc_method-like) process on the kernel."""
@@ -126,18 +151,11 @@ class Kernel:
 
     # -- scheduling primitives (used by Event/Signal/Process) ---------------
 
-    def _make_runnable(self, process, triggering_event=None):
+    def _make_runnable(self, process):
         if process.terminated or process._queued:
             return
         process._queued = True
         self._runnable.append(process)
-
-    def _queue_delta_event(self, event):
-        # The set makes dedup and cancel O(1); the list keeps the
-        # (deterministic) notification order.
-        if event not in self._delta_event_set:
-            self._delta_event_set.add(event)
-            self._delta_events.append(event)
 
     def _queue_delta_process(self, process):
         self._delta_processes.append(process)
@@ -148,16 +166,13 @@ class Kernel:
         # The unique sequence number keeps comparisons from ever
         # reaching the payload fields.
         entry = [self.now + delay, next(self._seq), event, True]
-        heapq.heappush(self._timed, entry)
+        heappush(self._timed, entry)
         self._timed_events.setdefault(event, []).append(entry)
 
     def _queue_timed_process(self, process, delay):
         process._waiting_timeout = True
-        heapq.heappush(
+        heappush(
             self._timed, [self.now + delay, next(self._seq), process, True])
-
-    def _queue_update(self, signal):
-        self._update_queue.append(signal)
 
     def _cancel_event(self, event):
         # Delta side: drop from the set; the list entry becomes a
@@ -171,7 +186,7 @@ class Kernel:
         """Discard cancelled entries sitting at the top of the heap."""
         timed = self._timed
         while timed and not timed[0][3]:
-            heapq.heappop(timed)
+            heappop(timed)
 
     # -- queries -------------------------------------------------------------
 
@@ -266,8 +281,9 @@ class Kernel:
                 self._make_runnable(process)
 
     def _evaluate(self):
-        while self._runnable:
-            process = self._runnable.popleft()
+        runnable = self._runnable
+        while runnable:
+            process = runnable.popleft()
             process._queued = False
             self._running_process = process
             try:
@@ -285,8 +301,6 @@ class Kernel:
                 self._running_process = None
 
     def _update(self):
-        if not self._update_queue:
-            return
         queue, self._update_queue = self._update_queue, []
         for signal in queue:
             signal._apply_update()
@@ -303,9 +317,14 @@ class Kernel:
             for process in procs:
                 self._make_runnable(process)
 
-    def _advance_time(self):
-        """Pop all timed entries at the earliest timestamp; trigger them."""
-        target_time = self._timed[0][0]
+    def _advance_time(self, time_hooks, sinks):
+        """Pop all timed entries at the earliest timestamp; trigger them.
+
+        Then call the *time_hooks* and *sinks* (bound methods, see
+        :meth:`run`) with the kernel.
+        """
+        timed = self._timed
+        target_time = timed[0][0]
         if target_time < self.now:
             raise SimulationError("timed event in the past: %d < %d"
                                   % (target_time, self.now))
@@ -313,15 +332,13 @@ class Kernel:
         self.timestep_count += 1
         if self.tracer.enabled:
             self.tracer.emit("kernel", "timestep", scope=self.name)
-        while self._timed and self._timed[0][0] == target_time:
-            popped = heapq.heappop(self._timed)
+        runnable = self._runnable
+        while timed and timed[0][0] == target_time:
+            popped = heappop(timed)
             if not popped[3]:
                 continue
             entry = popped[2]
-            if isinstance(entry, Process):
-                entry._waiting_timeout = False
-                self._make_runnable(entry)
-            else:
+            if entry.__class__ is Event:
                 entries = self._timed_events.get(entry)
                 if entries is not None:
                     entries[:] = [live for live in entries
@@ -329,12 +346,16 @@ class Kernel:
                     if not entries:
                         del self._timed_events[entry]
                 entry._trigger()
-        if self.hooks:
-            for hook in self.hooks:
-                hook.on_time_advance(self)
-        if self.trace_sinks:
-            for sink in self.trace_sinks:
-                sink.sample(self)
+            else:
+                # A thread's timeout expired: _make_runnable, inlined.
+                entry._waiting_timeout = False
+                if not (entry.terminated or entry._queued):
+                    entry._queued = True
+                    runnable.append(entry)
+        for advance in time_hooks:
+            advance(self)
+        for sample in sinks:
+            sample(self)
 
     def run(self, duration=None, max_deltas=None):
         """Run the simulation.
@@ -356,36 +377,47 @@ class Kernel:
             end_time = self.now + duration
         if not self._started:
             self._initialize()
+        # Bound once per run: a hook's no-op callbacks are skipped, and
+        # each phase below runs only when it has work.
+        cycle_begin = _callbacks(self.hooks, "on_cycle_begin")
+        cycle_end = _callbacks(self.hooks, "on_cycle_end")
+        time_hooks = _callbacks(self.hooks, "on_time_advance")
+        sinks = [sink.sample for sink in self.trace_sinks]
+        tracer = self.tracer
+        runnable = self._runnable
+        timed = self._timed
         deltas_executed = 0
         while not self._stop_requested:
-            if self.hooks:
-                for hook in self.hooks:
-                    hook.on_cycle_begin(self)
-            self._evaluate()
-            self._update()
-            self._delta_notify()
-            if self.hooks:
-                for hook in self.hooks:
-                    hook.on_cycle_end(self)
+            for begin in cycle_begin:
+                begin(self)
+            if runnable:
+                self._evaluate()
+            if self._update_queue:
+                self._update()
+            if self._delta_events or self._delta_processes:
+                self._delta_notify()
+            for end in cycle_end:
+                end(self)
             self.delta_count += 1
             deltas_executed += 1
-            if self.tracer.enabled:
-                self.tracer.emit("kernel", "delta", scope=self.name)
+            if tracer.enabled:
+                tracer.emit("kernel", "delta", scope=self.name)
             if self._stop_requested:
                 break
             if max_deltas is not None and deltas_executed >= max_deltas:
                 break
-            if self._runnable:
+            if runnable:
                 continue
-            self._prune_timed()
-            if not self._timed:
+            while timed and not timed[0][3]:
+                heappop(timed)
+            if not timed:
                 break
-            if end_time is not None and self._timed[0][0] > end_time:
+            if end_time is not None and timed[0][0] > end_time:
                 # Do not consume events beyond the horizon; leave them for
                 # a later run() call and settle the clock at the horizon.
                 self.now = end_time
                 break
-            self._advance_time()
+            self._advance_time(time_hooks, sinks)
         if end_time is not None and self.now < end_time and not self._stop_requested:
             self.now = end_time
         self._stop_requested = False

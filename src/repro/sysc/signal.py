@@ -47,7 +47,10 @@ class Signal:
         self._next = value
         if not self._update_pending:
             self._update_pending = True
-            self._resolve_kernel()._queue_update(self)
+            kernel = self._kernel
+            if kernel is None:
+                kernel = self._resolve_kernel()
+            kernel._update_queue.append(self)
 
     def force(self, value):
         """Set the current value immediately, bypassing the update phase.
@@ -63,4 +66,9 @@ class Signal:
         self._update_pending = False
         if self._next != self._current:
             self._current = self._next
-            self.changed.notify_delta()
+            changed = self.changed
+            # No process runs between the update phase and the delta
+            # notification, so a change nobody waits on wakes nobody:
+            # skip queueing it (a clock's signal changes every edge).
+            if changed._static_waiters or changed._dynamic_waiters:
+                changed.notify_delta()

@@ -11,15 +11,17 @@ import json
 
 import pytest
 
-from repro.cosim.checkpoint import (CheckpointRunner, RecoveryPolicy,
-                                    capture_state, compare_states,
-                                    latest_checkpoint, load_checkpoint,
-                                    restore_checkpoint, verify_checkpoint)
+from repro.cosim.checkpoint import (CHECKPOINT_VERSION, CheckpointRunner,
+                                    RecoveryPolicy, capture_state,
+                                    compare_states, latest_checkpoint,
+                                    load_checkpoint, restore_checkpoint,
+                                    verify_checkpoint)
 from repro.cosim.faults import FaultPlan
 from repro.errors import (CheckpointError, RecoverableCrashError,
                           parse_crash)
 from repro.router.system import (RouterConfig, config_from_dict,
                                  config_to_dict)
+from repro.sysc.simtime import US
 
 SCHEMES = ("gdb-wrapper", "gdb-kernel", "driver-kernel")
 BACKENDS = (None, "thread", "process")
@@ -150,6 +152,18 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_version_one_file_rejected(self, tmp_path):
+        # Version 1 digested traces from pickle bytes, which depend on
+        # the parallel backend; its images are no valid replay oracles.
+        path = _write_checkpoint(tmp_path)
+        record = json.loads(open(path).read())
+        record["payload"]["version"] = 1
+        open(path, "w").write(json.dumps(record))
+        with pytest.raises(CheckpointError,
+                           match="format version 1; this build reads "
+                                 "version %d" % CHECKPOINT_VERSION):
+            load_checkpoint(path)
+
     def test_failed_restore_leaves_valid_files_usable(self, tmp_path):
         path = _write_checkpoint(tmp_path)
         bad = str(tmp_path / "bad.json")
@@ -187,6 +201,28 @@ class TestStateImages:
         second = capture_state(runner.system)
         compare_states(first, second)
         runner.close()
+
+    @pytest.mark.parametrize("scheme", ["gdb-kernel", "driver-kernel"])
+    def test_slice_image_is_backend_independent(self, scheme):
+        # The ISS-bound four-CPU CRC-32 workload on the superblock tier
+        # at a 32-timestep quantum, after one 16-quantum slice: parallel
+        # planning must not count pipe polls, and the trace digest must
+        # not depend on how a worker's replayed events share objects.
+        images = []
+        for parallel in BACKENDS:
+            config = RouterConfig(
+                scheme=scheme, num_cpus=4, producer_count=4,
+                algorithm="crc32", checksum_rounds=24,
+                cpu_hz=1_000_000_000, inter_packet_delay=100 * US,
+                sync_quantum=32, dmi=False, tier="superblocks",
+                parallel=parallel, workers=2)
+            runner = CheckpointRunner(config, checkpoint_every=16)
+            runner.run(runner.slice_fs)
+            images.append(capture_state(runner.system))
+            runner.close()
+        serial, thread, process = images
+        compare_states(thread, serial, "thread backend")
+        compare_states(process, serial, "process backend")
 
     def test_compare_names_divergent_sections(self):
         live = {"kernel": {"now": 1}, "metrics": {"a": 2}}

@@ -441,3 +441,74 @@ class TestStackProtection:
         rtos, __ = make_rtos(".org 0x1000\nnop")
         with pytest.raises(RtosError):
             rtos.create_thread("bad", 0x1000, 0x8000, stack_size=6)
+
+
+class TestBudgetDebt:
+    """An advance whose budget is covered by earlier overshoot (budget
+    <= debt) runs no guest code, yet must still consume co-simulation
+    traffic and keep the debt arithmetic exact."""
+
+    _DEBT = 1_000
+    _BUDGET = 100
+
+    @staticmethod
+    def _setup():
+        from repro.cosim.channels import Socket
+        from repro.rtos.driver import CosimPortDriver
+
+        rtos, __ = make_rtos(".org 0x1000\nnop")
+        data, irq = Socket(4444), Socket(4445)
+        rtos.attach_cosim(data.b, irq.b)
+        driver = CosimPortDriver(1, "dev", rx_ports=["data_in"],
+                                 tx_port="result", irq_vector=5,
+                                 data_endpoint=data.b)
+        rtos.register_driver(driver)
+        rtos.start()
+        rtos._budget_debt = TestBudgetDebt._DEBT
+        return rtos, driver, data, irq
+
+    def test_nothing_pending_repays_exactly_the_budget(self):
+        rtos, __, __, __ = self._setup()
+        cycles = rtos.cpu.cycles
+        assert rtos.advance(self._BUDGET) == 0
+        assert rtos._budget_debt == self._DEBT - self._BUDGET
+        assert rtos.cpu.cycles == cycles
+        # A budget equal to the remaining debt clears it, still idle.
+        assert rtos.advance(rtos._budget_debt) == 0
+        assert rtos._budget_debt == 0
+        assert rtos.cpu.cycles == cycles
+
+    def test_read_reply_consumed_and_charge_folded_into_debt(self):
+        from repro.cosim.messages import (Block, Message, MessageType,
+                                          pack_message, unpack_message)
+
+        rtos, driver, data, __ = self._setup()
+        thread = rtos.create_thread("reader", 0x1000, 0x8000)
+        driver.read(thread, 0x2000, 4)
+        request = unpack_message(data.a.recv())
+        words = (0x1234).to_bytes(4, "little") * 2
+        data.a.send(pack_message(Message(
+            MessageType.READ_REPLY, [Block("data_in", words)],
+            request.sequence)))
+        cycles = rtos.cpu.cycles
+        assert rtos.advance(self._BUDGET) == 0
+        charge = rtos.costs.driver_call + 2 * rtos.costs.driver_per_word
+        assert rtos.cpu.cycles == cycles + charge
+        assert rtos._budget_debt == self._DEBT - self._BUDGET + charge
+        assert driver.read_replies == 1
+        assert driver._pending_read is None
+        assert thread.state is ThreadState.READY
+        assert data.b.pending == 0
+        assert rtos.cpu.memory.load_word(0x2000) == 0x1234
+
+    def test_interrupt_consumed(self):
+        from repro.cosim.messages import interrupt_message, pack_message
+
+        rtos, __, __, irq = self._setup()
+        irq.a.send(pack_message(interrupt_message(5)))
+        cycles = rtos.cpu.cycles
+        assert rtos.advance(self._BUDGET) == 0
+        assert irq.b.pending == 0
+        assert list(rtos.vectors.pending) == [5]
+        assert rtos.cpu.cycles == cycles
+        assert rtos._budget_debt == self._DEBT - self._BUDGET
