@@ -79,8 +79,10 @@ class Context:
     cpu: object
     binding: ClockBinding
     dmi: object = None          # DmiTable of the DMI binding tier, or None
-    # Reliable/fault-injected transports draw from seeded RNG streams
-    # whose ordering a parallel prefetch cannot preserve: lock-step.
+    # False plans every run serial.  Reliable/fault-injected transports
+    # draw from seeded RNG streams whose ordering a parallel prefetch
+    # cannot preserve; a CPU that declines the process backend's fork
+    # could only hold the GIL on a pool thread (ContextScheme._register).
     parallel_safe: bool = True
     quarantined: bool = False
     quarantine_reason: str = None
@@ -143,14 +145,22 @@ class ContextScheme:
         self.attrib = None
         # Dispatch-window span counter; main-thread only, traced only.
         self._par_seq = 0
+        # The parallel round runs: a dispatcher is attached and not
+        # every context declined the process backend's fork.
+        self._pooled = False
 
     def _register(self, context):
         self.contexts.append(context)
-        if self.dispatcher is not None and context.parallel_safe:
-            # The process backend declines RTOS CPUs (their syscall
-            # handlers close over master-side state); the attempt just
-            # records the fallback and the context runs on the pool.
-            self.dispatcher.attach_cpu(context.cpu)
+        dispatcher = self.dispatcher
+        if dispatcher is None:
+            return context
+        if context.parallel_safe and not dispatcher.attach_cpu(context.cpu):
+            # Declined by the process backend (RTOS syscall handlers,
+            # MMIO, cache models, retire observers): planned serial for
+            # good.  When every context declined, the round is skipped.
+            context.parallel_safe = False
+        else:
+            self._pooled = True
         return context
 
     # -- scheme callbacks ----------------------------------------------------
@@ -229,7 +239,7 @@ class ContextScheme:
         window, unless a stop source could fire inside it.
         """
         self.metrics.sc_timesteps += 1
-        if self.dispatcher is not None:
+        if self._pooled:
             self._parallel_round(now)
             return
         tracer = self.tracer
@@ -329,7 +339,8 @@ class ContextScheme:
         Eligible contexts' runs execute concurrently with their trace
         events captured per context; the commit then replays each
         context in attach order, reproducing the serial event sequence
-        and metric totals exactly.
+        and metric totals exactly.  A round that plans no job never
+        calls the dispatcher.
         """
         dispatcher = self.dispatcher
         plans = []
@@ -347,7 +358,7 @@ class ContextScheme:
             elif job is not None:
                 self._trace_dispatch(context, budget)
                 jobs.append((id(context), job))
-        results = dispatcher.execute(jobs)
+        results = dispatcher.execute(jobs) if jobs else None
         for context, kind, budget, data in plans:
             if context.quarantined:
                 continue

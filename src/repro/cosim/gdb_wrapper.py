@@ -91,7 +91,7 @@ class GdbWrapperScheme(GdbScheme):
         if context.driver.finished or context.quarantined:
             return
         kernel = self.kernel
-        if self.dispatcher is not None:
+        if self._pooled:
             # Every wrapper's sc_method fires in the same delta: the
             # first to run executes the whole round in attach order
             # (the serial method order) and the rest no-op.

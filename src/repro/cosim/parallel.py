@@ -29,8 +29,10 @@ Backends: ``thread`` (default) runs prefetches on a persistent
 stays GIL-serialised; ``process`` additionally forks one persistent
 execution worker per ISS (:mod:`repro.iss.remote`) with
 shared-memory guest RAM, so the pool threads block in pipe I/O while
-the workers execute truly in parallel.  A context whose worker wedges
-or dies is quarantined through the scheme's PR-1 watchdog machinery
+the workers execute truly in parallel.  A CPU that declines the fork
+could only hold the GIL on a pool thread, so its scheme plans it
+serial for the whole run.  A context whose worker wedges or dies is
+quarantined through the scheme's watchdog machinery
 instead of hanging the simulation.
 
 See ``docs/parallel.md`` for the full determinism argument.
@@ -148,13 +150,14 @@ class ParallelDispatcher:
     def attach_cpu(self, cpu):
         """Give *cpu* a process-backend execution worker if configured.
 
-        Returns True when a worker was forked; with the thread backend
-        (or when :func:`attach_remote` declines — MMIO, syscall
-        handlers, no fork) the context simply executes in-process on
-        the pool, which is always correct.
+        Returns False when the process backend declines the fork
+        (:func:`attach_remote`: MMIO, cache models, retire observers,
+        syscall handlers, no fork).  Such a CPU could only execute on a
+        GIL-bound pool thread, so its scheme plans it serial.  Under
+        the thread backend every CPU may go to the pool: True.
         """
         if self.config.backend != "process":
-            return False
+            return True
         remote = attach_remote(cpu, timeout=self.config.worker_timeout)
         if remote is None:
             self.stats.process_fallbacks += 1

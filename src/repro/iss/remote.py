@@ -23,7 +23,8 @@ client, ports, metrics — stays in the SystemC process:
   ``iss/breakpoint``, ``iss/watchpoint``, ``iss/block_compile``) are
   captured in a :class:`~repro.obs.tracer.TraceBuffer` and replayed on
   the calling thread in emission order, so the main tracer assigns the
-  same sequence numbers serial execution would have;
+  same sequence numbers serial execution would have.  The worker emits
+  only while the master's tracer is enabled;
 - the pipe round trip releases the GIL, which is what lets several
   contexts genuinely execute at once under the dispatcher's pool.
 
@@ -153,6 +154,8 @@ def _worker_main(conn, cpu):
     aliases the master's guest RAM; everything else on the inherited
     objects is private to this process.
     """
+    # Emits only while the master's tracer is enabled (each exchange
+    # ships the flag), so a disabled tracer receives no replays.
     buffer = TraceBuffer()
     cpu._remote = None          # this copy executes locally
     cpu._attrib = None          # wall-time attribution is master-side
@@ -166,6 +169,7 @@ def _worker_main(conn, cpu):
             if command[0] == "exit":
                 break
             kind, state, max_instructions, max_cycles = command
+            buffer.enabled = state.pop("trace")
             if state.pop("flush", False):
                 cpu.flush_decode_cache()
             for address, length in state.pop("code_writes", ()):
@@ -218,6 +222,7 @@ class RemoteCpu:
 
     def _exchange(self, kind, max_instructions=None, max_cycles=None):
         state = _pack_state(self.cpu)
+        state["trace"] = self.cpu.tracer.enabled
         state["flush"] = self.pending_flush
         state["block_trace"] = self.cpu.block_trace
         state["use_superblocks"] = self.cpu.use_superblocks
@@ -243,7 +248,8 @@ class RemoteCpu:
         if reply[0] == "error":
             __, exc_name, message, result, payloads = reply
             _apply_result(self.cpu, result)
-            self.cpu.tracer.replay(payloads)
+            if payloads:
+                self.cpu.tracer.replay(payloads)
             exc_type = getattr(_errors, exc_name, IssError)
             if not isinstance(exc_type, type) or \
                     not issubclass(exc_type, Exception):
@@ -251,7 +257,8 @@ class RemoteCpu:
             raise exc_type(message)
         __, reason_value, result, payloads = reply
         _apply_result(self.cpu, result)
-        self.cpu.tracer.replay(payloads)
+        if payloads:
+            self.cpu.tracer.replay(payloads)
         return StopReason(reason_value) if reason_value is not None else None
 
     def run(self, max_instructions=None, max_cycles=None):

@@ -2,19 +2,22 @@
 
 Covers the dispatcher mechanics — config validation, the inline and
 pooled execute paths, trace-buffer capture, stats — and the scheme
-integration seams: serial degradation of ineligible contexts, and
-worker-failure quarantine through the PR-1 machinery.
+integration seams: serial degradation of ineligible contexts, serial
+planning of CPUs that decline the process backend's fork, and
+worker-failure quarantine through the watchdog machinery.
 """
 
 import pytest
 
+from repro.cosim.checkpoint import capture_state
+from repro.cosim.gdb_kernel import GdbKernelScheme
 from repro.cosim.parallel import (BACKENDS, ParallelConfig,
                                   ParallelDispatcher, ParallelStats,
                                   make_dispatcher)
 from repro.errors import CosimError, CosimTransportError
 from repro.iss.remote import RemoteWorkerError
 from repro.obs.scenarios import COSIM_SCHEMES
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, dump_events
 from repro.router.system import RouterConfig, RouterSystem
 from repro.sysc.simtime import US
 
@@ -167,6 +170,72 @@ class TestSchemeDegradation:
         system.run(200 * US)
         assert system.dispatcher.stats.jobs > 0
         system.close()
+
+
+def _outcome(system):
+    """Everything deterministic a run computed, after *system* ran."""
+    return (dump_events(system.tracer.events()), system.metrics.as_dict(),
+            system.telemetry.series.dump(), capture_state(system))
+
+
+class TestDeclinedForkPlanning:
+    """Under the process backend a context whose CPU declines the fork
+    is planned serial once, at attach (docs/parallel.md, "Backends")."""
+
+    def _run(self, scheme, parallel, num_cpus):
+        system = _system(scheme=scheme, parallel=parallel,
+                         num_cpus=num_cpus, sync_quantum=4,
+                         tracer=Tracer())
+        try:
+            system.run(200 * US)
+            return _outcome(system), system.dispatcher
+        finally:
+            system.close()
+
+    def test_all_declined_driver_kernel_skips_the_round(self):
+        """RTOS CPUs decline (syscall handlers): no round, no job, and
+        the run equals serial at the run boundary."""
+        serial, __ = self._run("driver-kernel", None, 2)
+        forked, dispatcher = self._run("driver-kernel", "process", 2)
+        stats = dispatcher.stats
+        assert stats.process_fallbacks == 2
+        assert stats.process_contexts == 0
+        assert stats.rounds == stats.jobs == 0
+        assert stats.serial_fallbacks == 0
+        assert forked == serial
+
+    def test_declined_gdb_cpu_is_never_pooled(self, monkeypatch):
+        """A GDB CPU with a retire observer declines the fork: its runs
+        take the serial plans, while its forked siblings still go to
+        the pool."""
+        attach_cpu = GdbKernelScheme.attach_cpu
+        prefetch_job = GdbKernelScheme._prefetch_job
+        pooled = []
+
+        class Observer:
+            def on_retire(self, cpu, pc, decoded, cycles):
+                pass
+
+        def observed_attach(scheme, cpu, *args, **kwargs):
+            if cpu.name == "cpu0":
+                cpu.attach_observer(Observer())
+            return attach_cpu(scheme, cpu, *args, **kwargs)
+
+        def recorded_prefetch(scheme, context, budget):
+            pooled.append(context.name)
+            return prefetch_job(scheme, context, budget)
+
+        monkeypatch.setattr(GdbKernelScheme, "attach_cpu", observed_attach)
+        monkeypatch.setattr(GdbKernelScheme, "_prefetch_job",
+                            recorded_prefetch)
+        serial, __ = self._run("gdb-kernel", None, 3)
+        assert pooled == []
+        forked, dispatcher = self._run("gdb-kernel", "process", 3)
+        assert dispatcher.stats.process_fallbacks == 1
+        assert dispatcher.stats.process_contexts == 2
+        assert "cpu0" not in pooled
+        assert set(pooled) == {"cpu1", "cpu2"}
+        assert forked == serial
 
 
 class TestWorkerQuarantine:

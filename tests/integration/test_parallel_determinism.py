@@ -67,8 +67,8 @@ def test_process_backend_matches_serial(seed, quantum):
 
 
 def test_driver_kernel_process_backend_matches_serial():
-    """Driver-Kernel CPUs decline the forked worker (syscall handlers)
-    and run on the pool threads — equivalence still holds."""
+    """Driver-Kernel CPUs decline the forked worker (syscall handlers),
+    so the scheme runs the serial advance — equivalence still holds."""
     serial = _outcome("driver-kernel", 7, 2, 8, parallel=False)
     parallel = _outcome("driver-kernel", 7, 2, 8, parallel="process")
     assert parallel == serial

@@ -89,6 +89,33 @@ class TestOverheadGuard:
 
 
 @pytest.mark.parametrize("scheme", COSIM_SCHEMES)
+class TestProcessBackendGuard:
+    """The forked ISS workers (docs/parallel.md, "Backends") follow the
+    same discipline: their buffered events reach the master tracer only
+    when it is enabled, so a disabled tracer receives no replay."""
+
+    _PROCESS = dict(_PARAMS, parallel="process", workers=2)
+
+    def test_disabled_tracer_emit_is_never_called(self, scheme):
+        trap = BoobyTrappedTracer()
+        run = run_traced_scenario(scheme, tracer=trap, **self._PROCESS)
+        run.system.close()
+        assert len(trap) == 0
+        assert run.stats.received > 0
+
+    def test_tracing_does_not_perturb_the_simulation(self, scheme):
+        runs = [run_traced_scenario(scheme, tracer=tracer, **self._PROCESS)
+                for tracer in (None, Tracer(capacity=0, enabled=False),
+                               NULL_TRACER)]
+        for run in runs:
+            run.system.close()
+        traced, disabled, untraced = runs
+        assert len(traced.tracer) > 0
+        assert _fingerprint(traced) == _fingerprint(disabled)
+        assert _fingerprint(traced) == _fingerprint(untraced)
+
+
+@pytest.mark.parametrize("scheme", COSIM_SCHEMES)
 class TestSpanPlumbingIsFreeWhenDisabled:
     """Correlation-id bookkeeping follows the same discipline as emit:
     a disabled tracer must not even advance a span counter (no id
