@@ -8,10 +8,16 @@ counts per timestep is deterministic, so it is gated instead:
 
 - a kernel with nothing but a 1 us clock;
 - the wall benchmark's ``table1`` Driver-Kernel cell (seed 42), over
-  2 000 us after a 100 us warm-up.
+  2 000 us after a 100 us warm-up;
+- its ``mpsoc-crc`` Driver-Kernel cell (seed 42, sync quantum 32) over
+  the same span, where the kernel fast-forwards about 95% of the
+  timesteps (quiet clock edges).  The count is per *simulated*
+  timestep, skipped ones included, so a change that silently stops
+  the fast-forward (about 117 calls) fails here.
 
-Each bound is the count measured when the lean timestep landed
-(CPython 3.11) plus 10%.  A change that puts calls back on the path
+Each bound is the count measured when the path landed (CPython 3.11)
+plus 10%: the lean timestep for the first two, the quiet-timestep
+fast-forward for the third.  A change that puts calls back on the path
 fails here; one that removes more should lower the bound.
 """
 
@@ -33,6 +39,9 @@ SPAN = 2000 * US
 #: Calls per timestep when the lean timestep landed, plus 10%.
 BARE_CLOCK_BOUND = 18.0 * 1.10
 DRIVER_CELL_BOUND = 83.8 * 1.10
+#: Calls per simulated timestep when the quiet-timestep fast-forward
+#: landed, plus 10%.
+QUIET_SKIP_BOUND = 64.3 * 1.10
 
 
 def calls_per_timestep(kernel, run):
@@ -67,3 +76,15 @@ def test_table1_driver_kernel_timestep(bench_report, summary):
     summary("per-timestep cost, table1 driver-kernel: %.2f calls "
             "(bound %.1f)" % (calls, DRIVER_CELL_BOUND))
     assert calls <= DRIVER_CELL_BOUND
+
+
+def test_mpsoc_crc_driver_kernel_skip(bench_report, summary):
+    system = RouterSystem(router_config("mpsoc-crc", "driver-kernel", 42))
+    try:
+        calls = calls_per_timestep(system.kernel, system.run)
+    finally:
+        system.close()
+    bench_report.record(calls_per_timestep=round(calls, 2))
+    summary("per-timestep cost, mpsoc-crc driver-kernel: %.2f calls "
+            "(bound %.1f)" % (calls, QUIET_SKIP_BOUND))
+    assert calls <= QUIET_SKIP_BOUND

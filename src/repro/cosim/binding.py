@@ -8,7 +8,8 @@ through their master-side advance calls.
 
 A binding can also batch budgets across a *sync quantum* of N
 timesteps: :meth:`accumulate` banks each timestep's budget without a
-synchronisation, :meth:`due` says when the quantum is full, and
+synchronisation (:meth:`accumulate_many` banks a run of timesteps the
+kernel fast-forwarded), :meth:`due` says when the quantum is full, and
 :meth:`drain` hands the whole bank to one sync transaction.  At the
 default ``quantum=1`` every timestep is due immediately, which is the
 classic lock-step behavior.
@@ -67,6 +68,32 @@ class ClockBinding:
         """
         self.pending_budget += self.cycles_for_advance(now_fs)
         self.pending_steps += 1
+        return self.pending_budget
+
+    def accumulate_many(self, times):
+        """:meth:`accumulate` at each of *times* (ascending), in one call.
+
+        The per-timestep budgets are computed with the same float
+        arithmetic, in the same order, so the carry and the bank end
+        exactly where as many :meth:`accumulate` calls leave them.
+        """
+        last = self._last_time_fs
+        if times[0] < last:
+            raise CosimError("simulation time moved backwards")
+        carry = self._cycle_carry
+        cpu_hz = self.cpu_hz
+        banked = 0
+        for now_fs in times:
+            exact = (now_fs - last) * cpu_hz / 1e15 + carry
+            last = now_fs
+            budget = int(exact)
+            carry = exact - budget
+            banked += budget
+        self._last_time_fs = last
+        self._cycle_carry = carry
+        self.granted_cycles += banked
+        self.pending_budget += banked
+        self.pending_steps += len(times)
         return self.pending_budget
 
     def due(self):

@@ -21,7 +21,10 @@ A scheme supplies the callbacks: ``_run`` (one serial grant: grant and
 drive, or ``rtos.advance``), ``_prefetch_job`` and ``_apply`` (the two
 halves of a parallel run), ``_sync_due`` (a stop source could fire in
 a quantum window) and ``_parallel_eligible``; its own cycle-begin poll
-and, for Driver-Kernel, interrupt delivery at cycle end.  See
+and, for Driver-Kernel, interrupt delivery at cycle end.  A kernel-
+embedded scheme also supplies ``_idle`` and ``_skip_polls``, the two
+sides of its poll for the kernel's quiet-timestep fast-forward
+(:meth:`ContextScheme.quiet_steps`).  See
 ``docs/resilience.md`` and ``docs/parallel.md``.
 """
 
@@ -185,6 +188,15 @@ class ContextScheme:
         """Must a not-yet-full quantum synchronise this timestep?"""
         raise NotImplementedError
 
+    def _idle(self, context):
+        """Would *context*'s cycle-begin poll find nothing to do, without
+        drawing from a transport layer's RNG stream?"""
+        raise NotImplementedError
+
+    def _skip_polls(self, context, steps):
+        """Account *steps* idle cycle-begin polls of *context*."""
+        raise NotImplementedError
+
     def _parallel_eligible(self, context, lockstep):
         """May *context*'s next run go to the pool instead of serial?"""
         raise NotImplementedError
@@ -305,6 +317,53 @@ class ContextScheme:
             if (context.binding.pending_steps and not context.quarantined
                     and not context.finished):
                 self.sync_context(context)
+
+    # -- quiet-timestep fast-forward (KernelHook) ----------------------------
+
+    @property
+    def skips_quiet(self):
+        """Only a banked quantum turns a timestep into pure accounting."""
+        return self.sync_quantum > 1
+
+    def quiet_steps(self, kernel):
+        """Coming timesteps in which every context would only bank budget.
+
+        Each live context must be idle (its cycle-begin poll finds
+        nothing) and, unless finished, have no stop source forcing a
+        sync; its room is the timesteps its quantum can still bank
+        before it falls due.  Quarantined contexts are never polled.
+        """
+        # The quantum bounds a skip even when no context is running.
+        room = self.sync_quantum - 1
+        for context in self.contexts:
+            if context.quarantined:
+                continue
+            if not self._idle(context):
+                return 0
+            if context.finished:
+                continue
+            if self._sync_due(context):
+                return 0
+            binding = context.binding
+            room = min(room, binding.quantum - binding.pending_steps - 1)
+        return room
+
+    def skip_steps(self, kernel, times):
+        """Account the skipped timesteps as the callbacks would have.
+
+        That is :meth:`_advance`'s banked step and the cycle-begin
+        poll, per context and timestep.
+        """
+        steps = len(times)
+        metrics = self.metrics
+        metrics.sc_timesteps += steps
+        for context in self.contexts:
+            if context.quarantined:
+                continue
+            metrics.cheap_polls += steps
+            self._skip_polls(context, steps)
+            if not context.finished:
+                context.binding.accumulate_many(times)
 
     # -- parallel round ------------------------------------------------------
 

@@ -27,7 +27,7 @@ from operator import attrgetter
 
 from repro.errors import CosimError
 from repro.cosim.binding import ClockBinding
-from repro.cosim.channels import Socket
+from repro.cosim.channels import Endpoint, Socket
 from repro.cosim.context import (DRIVE_ERRORS, SYNC, Context, ContextScheme,
                                  wire_channel)
 from repro.cosim.dmi import GRANT_IN, GRANT_OUT, DmiTable
@@ -225,6 +225,16 @@ class DriverKernelScheme(ContextScheme, KernelHook):
         return (context.irq_inflight or context.cpu.irq_pending
                 or context.rtos.vectors.has_deliverable
                 or context.activity != context._synced_activity)
+
+    def _idle(self, context):
+        """No interrupt awaits delivery and the data socket is plain
+        and empty (a reliable one also polls the interrupt socket)."""
+        endpoint = context.data_endpoint
+        return (not self._pending_interrupts
+                and type(endpoint) is Endpoint and not endpoint.pending)
+
+    def _skip_polls(self, context, steps):
+        context.data_endpoint.poll_count += steps
 
     def _parallel_eligible(self, context, lockstep):
         """May *context*'s RTOS advance run on the pool?

@@ -21,6 +21,7 @@ The context lifecycle — watchdog, quarantine, quantum batching and the
 parallel round — is :mod:`repro.cosim.context`'s.
 """
 
+from repro.cosim.channels import Endpoint
 from repro.cosim.context import DRIVE_ERRORS, GdbScheme
 from repro.sysc.hooks import KernelHook
 
@@ -61,6 +62,35 @@ class GdbKernelScheme(GdbScheme, KernelHook):
             self._advance(kernel.now)
         else:
             self._transport(self._advance, kernel.now)
+
+    def _idle(self, context):
+        """Nothing pending or stashed on the client, and a held target
+        stays held: the hold's ``iss_out`` ports have no fresh value."""
+        client = context.client
+        if type(client.endpoint) is not Endpoint or client.peek_pending():
+            return False
+        driver = context.driver
+        if driver.held_at is None:
+            return True
+        # A held target is driven at every poll: the stub must have no
+        # request to serve and the transfer must hold again.
+        stub_end = context.stub.endpoint
+        if type(stub_end) is not Endpoint or stub_end.pending:
+            return False
+        for binding in driver.pragma_map.bindings_at(driver.held_at):
+            if binding.kind == "iss_out":
+                port = driver.ports.get(binding.variable)
+                if port is None or port.fresh:
+                    return False
+        return True
+
+    def _skip_polls(self, context, steps):
+        if context.driver.held_at is None:
+            context.client.endpoint.poll_count += steps
+        else:
+            # needs_attention short-circuits on the hold without a pipe
+            # poll; the drive it triggers finds the hold still in place.
+            context.attention_serviced = True
 
     def _run(self, context, budget):
         """One grant+drive round trip."""

@@ -7,8 +7,8 @@ them: per-tier ISS execution (``iss.interp`` / ``iss.blocks`` /
 breakpoint exchanges, socket drains, quantum commits), dispatcher
 commit stalls, and the SystemC scheduler residual.  It also folds the
 superblock tier's side-exit analytics (which chained traces keep
-bailing out early, and where) so the re-profiling work of ROADMAP
-item 4 has data to steer by.
+bailing out early, and where) so superblock re-profiling has data to
+steer by.
 
 An :class:`AttributionProfiler` keeps a per-thread measurement stack
 and charges each bucket its *exclusive* time: ISS execution is
@@ -182,8 +182,8 @@ def side_exit_profile(cpus, limit=8):
 
     Returns ``[[hex_pc, count], ...]`` hottest first (ties by address)
     — the superblock starts whose chained traces most often bail out
-    through a guard, i.e. the re-profiling candidates of ROADMAP
-    item 4.  Plain JSON for the BENCH ``profile.side_exits`` section.
+    through a guard, i.e. the superblock re-profiling candidates.
+    Plain JSON for the BENCH ``profile.side_exits`` section.
     """
     merged = {}
     for cpu in cpus:

@@ -245,6 +245,18 @@ class MetricsSampler:
         self._bus = bus
         return bus
 
+    def settled(self):
+        """True when a sample taken now would record no point.
+
+        A trace sink with this method is progress-gated: the kernel may
+        fast-forward quiet timesteps past it while it holds.
+        """
+        metrics = self.metrics
+        # The composite sample() computes, inlined there.
+        return (metrics.quantum_syncs + metrics.sync_transactions
+                + metrics.grants + metrics.messages_sent
+                + metrics.messages_received) == self._last_progress
+
     def sample(self, kernel):
         """Record one point if sync progress was made; returns it."""
         metrics = self.metrics

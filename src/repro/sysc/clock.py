@@ -5,6 +5,11 @@ The clock drives a boolean :class:`~repro.sysc.signal.Signal` and exposes
 events for as long as the simulation runs, attaching one guarantees the
 scheduler keeps cycling — which is what lets the co-simulation hooks
 advance the ISS on every SystemC clock period.
+
+An edge nobody waits on is still a timestep, but its only effects are
+counters and the signal's level; :meth:`_EdgeProcess.fast_forward`
+applies a run of such edges arithmetically for the kernel's
+quiet-timestep fast-forward (:meth:`repro.sysc.kernel.Kernel.run`).
 """
 
 from repro.errors import SimulationError
@@ -77,3 +82,42 @@ class _EdgeProcess(Process):
             clock.signal.write(0)
             clock.negedge.notify_delta()
             kernel._queue_timed_process(self, clock.low_time)
+
+    def unobserved(self):
+        """No process waits on an edge event or on the clock signal."""
+        clock = self.clock
+        posedge, negedge = clock.posedge, clock.negedge
+        changed = clock.signal.changed
+        return not (posedge._static_waiters or posedge._dynamic_waiters
+                    or negedge._static_waiters or negedge._dynamic_waiters
+                    or changed._static_waiters or changed._dynamic_waiters)
+
+    def fast_forward(self, first, limit, horizon):
+        """Apply up to *limit* unobserved edges from time *first* on.
+
+        Only edges strictly before *horizon* are taken.  Each leaves
+        what :meth:`run` plus the following update and delta
+        notification would have left: the phase, the trigger, posedge
+        and signal write counts, and the signal level.  Returns
+        ``(times, next_edge)``: the times of the edges taken and the
+        time of the first edge not taken; the caller requeues the
+        process there.
+        """
+        clock = self.clock
+        rising = self._rising
+        times = []
+        time = first
+        while len(times) < limit and time < horizon:
+            times.append(time)
+            time += clock.high_time if rising else clock.low_time
+            rising = not rising
+        steps = len(times)
+        if steps:
+            self.trigger_count += steps
+            clock.posedge_count += (steps + self._rising) // 2
+            self._rising = rising
+            signal = clock.signal
+            signal.write_count += steps
+            # The last edge taken was rising exactly when the next is not.
+            signal._current = signal._next = 0 if rising else 1
+        return times, time

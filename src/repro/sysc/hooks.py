@@ -14,7 +14,17 @@ class KernelHook:
 
     Subclasses override any of the three callbacks; the defaults do
     nothing so a hook only pays for what it uses.
+
+    Two more methods let the kernel fast-forward *quiet* timesteps: a
+    clock edge that no process waits on, with nothing else due.  The
+    kernel skips such edges only when every hook sets
+    :attr:`skips_quiet`, and then at most :meth:`quiet_steps` of them;
+    :meth:`skip_steps` accounts for each one exactly as the three
+    callbacks would have.
     """
+
+    #: May :meth:`quiet_steps` return more than 0?  Read once per run.
+    skips_quiet = False
 
     def on_cycle_begin(self, kernel):
         """Called at the beginning of every simulation (delta) cycle,
@@ -29,3 +39,19 @@ class KernelHook:
     def on_time_advance(self, kernel):
         """Called whenever simulated time advances to a new timestep —
         where co-simulation bindings grant the ISS its cycle budget."""
+
+    def quiet_steps(self, kernel):
+        """How many coming quiet timesteps this hook can account for.
+
+        A quiet timestep's callbacks would only update counters: they
+        neither run processes, move data nor stop the kernel.  0 makes
+        the kernel materialise the next timestep.
+        """
+        return 0
+
+    def skip_steps(self, kernel, times):
+        """Account for the skipped quiet timesteps at *times*.
+
+        *times* are ascending, in femtoseconds; each is accounted as
+        the three callbacks would have accounted it.
+        """

@@ -13,14 +13,23 @@ at the two points the paper patches (Figures 3 and 5): the *beginning*
 of every simulation cycle, before event handling, and the *end* of the
 cycle, after event handling — where the Driver-Kernel scheme checks for
 pending interrupts.
+
+A timestep whose only due entry is a clock edge nobody waits on is
+*quiet*: when every hook can account for it without running it
+(:meth:`~repro.sysc.hooks.KernelHook.quiet_steps`), the kernel
+fast-forwards a run of them arithmetically (:meth:`Kernel._fast_forward`)
+instead of popping, evaluating and notifying edge by edge.  See
+``docs/performance.md`` §3.
 """
 
 import itertools
+import math
 from collections import deque
 from heapq import heappop, heappush
 
 from repro.errors import ReproError, SimulationError
 from repro.obs.tracer import NULL_TRACER
+from repro.sysc.clock import _EdgeProcess
 from repro.sysc.event import Event
 from repro.sysc.hooks import KernelHook
 from repro.sysc.process import Process, ProcessKind
@@ -53,6 +62,21 @@ def _callbacks(hooks, name):
         if getattr(callback, "__func__", None) is not noop:
             callbacks.append(callback)
     return callbacks
+
+
+def _skip_hooks(hooks, sinks, max_deltas):
+    """The hooks that fast-forward quiet timesteps this run, or None.
+
+    Every hook must skip quiet timesteps and every trace sink must be
+    progress-gated: its ``settled()`` says when a sample would record
+    nothing (:meth:`repro.obs.metrics.MetricsSampler.settled`).  A
+    delta budget counts every timestep's delta, so it keeps them all.
+    """
+    if (not hooks or max_deltas is not None
+            or not all(getattr(hook, "skips_quiet", False) for hook in hooks)
+            or not all(hasattr(sink, "settled") for sink in sinks)):
+        return None
+    return list(hooks)
 
 
 class Kernel:
@@ -357,6 +381,54 @@ class Kernel:
         for sample in sinks:
             sample(self)
 
+    def _fast_forward(self, hooks, settled, end_time):
+        """Skip the quiet clock edges at the top of the heap; True if any.
+
+        The top entry is a clock edge.  It is quiet when no process
+        waits on the clock, no delta work is queued, every progress-
+        gated sink would record nothing (*settled*) and every hook has
+        room; at most the hooks' room is skipped, all strictly before
+        the next other live entry and not past *end_time*.  Each
+        skipped edge leaves exactly what a materialised timestep would
+        have: time, timestep and delta counts (one delta each), one
+        heap sequence number, the clock's counters and level, and the
+        hooks' accounting (:meth:`~repro.sysc.hooks.KernelHook.skip_steps`).
+        """
+        if self._update_queue or self._delta_events or self._delta_processes:
+            return False
+        timed = self._timed
+        top = timed[0]
+        edge = top[2]
+        if not edge.unobserved():
+            return False
+        limit = min(hook.quiet_steps(self) for hook in hooks)
+        if limit <= 0:
+            return False
+        for check in settled:
+            if not check():
+                return False
+        heappop(timed)
+        while timed and not timed[0][3]:
+            heappop(timed)
+        horizon = timed[0][0] if timed else math.inf
+        if end_time is not None and end_time < horizon:
+            horizon = end_time + 1
+        times, next_edge = edge.fast_forward(top[0], limit, horizon)
+        if not times:
+            heappush(timed, top)
+            return False
+        steps = len(times)
+        seq = self._seq
+        for _ in range(steps - 1):
+            next(seq)
+        heappush(timed, [next_edge, next(seq), edge, True])
+        self.now = times[-1]
+        self.timestep_count += steps
+        self.delta_count += steps
+        for hook in hooks:
+            hook.skip_steps(self, times)
+        return True
+
     def run(self, duration=None, max_deltas=None):
         """Run the simulation.
 
@@ -383,6 +455,10 @@ class Kernel:
         cycle_end = _callbacks(self.hooks, "on_cycle_end")
         time_hooks = _callbacks(self.hooks, "on_time_advance")
         sinks = [sink.sample for sink in self.trace_sinks]
+        # The quiet-timestep fast-forward is bound once per run too.
+        skip_hooks = _skip_hooks(self.hooks, self.trace_sinks, max_deltas)
+        settled = ([sink.settled for sink in self.trace_sinks]
+                   if skip_hooks is not None else None)
         tracer = self.tracer
         runnable = self._runnable
         timed = self._timed
@@ -417,6 +493,13 @@ class Kernel:
                 # a later run() call and settle the clock at the horizon.
                 self.now = end_time
                 break
+            if (skip_hooks is not None and not tracer.enabled
+                    and timed[0][2].__class__ is _EdgeProcess
+                    and self._fast_forward(skip_hooks, settled, end_time)):
+                # Skipped up to the next other entry or the horizon.
+                if end_time is not None and timed[0][0] > end_time:
+                    self.now = end_time
+                    break
             self._advance_time(time_hooks, sinks)
         if end_time is not None and self.now < end_time and not self._stop_requested:
             self.now = end_time

@@ -7,7 +7,7 @@ scheme with the attribution profiler attached (``repro.obs.attrib``)
 and renders where the host's wall clock went: per-tier ISS execution,
 scheme transport work, and the SystemC scheduler residual — plus the
 superblock side-exit hot spots of the checksum guest, the
-re-profiling candidates of ROADMAP item 4.  CI's fast-bench job
+superblock re-profiling candidates.  CI's fast-bench job
 uploads the table as a build artifact; wall-clock figures are host
 numbers, so the table is informative — the committed BENCH baselines
 gate the deterministic counters.
