@@ -1,22 +1,21 @@
 """Telemetry-overhead gate for the parallel MPSoC workload.
 
 Always-on per-quantum telemetry is only acceptable if it is nearly
-free: the bar is <10% wall time for the sampler *plus* the wall-time
-attribution profiler over a run with both disabled, on the same
-compute-heavy GDB-Kernel MPSoC workload the checkpoint gate uses
-(CRC-32 guests on forked process workers).
+free: the bar is <10% wall time for the sampler over a run with
+telemetry disabled, on the same compute-heavy GDB-Kernel MPSoC
+workload the checkpoint gate uses (CRC-32 guests on forked process
+workers).
 
 The determinism half is absolute, not statistical: enabling telemetry
-and attribution must not perturb the simulation (identical stats and
-folded metrics as the disabled run), and two instrumented runs must
-produce byte-identical series dumps.
+must not perturb the simulation (identical stats and folded metrics as
+the disabled run), and two instrumented runs must produce
+byte-identical series dumps.
 """
 
 import time
 
 import pytest
 
-from repro.obs.attrib import attach_attrib
 from repro.router.system import RouterConfig, build_system
 from repro.sysc.simtime import US
 
@@ -26,8 +25,7 @@ WORKLOAD = dict(
     inter_packet_delay=100 * US, sync_quantum=32,
     cpu_hz=1_000_000_000, parallel="process", workers=4)
 SIM_TIME = 4 * 64 * 32 * US
-#: The acceptance bar; the sampler fires once per committed quantum
-#: and attribution costs two clock reads per measured section.
+#: The acceptance bar; the sampler fires once per committed quantum.
 MAX_OVERHEAD = 0.10
 REPEATS = 4
 
@@ -35,8 +33,6 @@ REPEATS = 4
 def _run(instrumented):
     config = RouterConfig(telemetry=instrumented, **WORKLOAD)
     system = build_system(config)
-    if instrumented:
-        attach_attrib(system)
     start = time.perf_counter()
     system.run(SIM_TIME)
     wall = time.perf_counter() - start
@@ -85,5 +81,5 @@ def test_telemetry_determinism_and_overhead(benchmark, summary):
             % (plain, instrumented, 100 * overhead, len(ratios),
                100 * MAX_OVERHEAD))
     assert overhead < MAX_OVERHEAD, (
-        "per-quantum telemetry + attribution costs %.1f%% wall time "
+        "per-quantum telemetry costs %.1f%% wall time "
         "(gate: %.0f%%)" % (100 * overhead, 100 * MAX_OVERHEAD))

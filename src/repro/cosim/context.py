@@ -11,8 +11,7 @@ GDB-Wrapper baseline [14]).  Everything else about an attached ISS — a
 - :class:`ContextScheme` owns the contexts and their lifecycle: the
   serial lock-step and quantum advance, the parallel classify /
   prefetch / commit round (:mod:`repro.cosim.parallel`), the watchdog,
-  quarantine with its reason codes and crash-recovery policy, and the
-  wall-time attribution of the transport;
+  and quarantine with its reason codes and crash-recovery policy;
 - :class:`GdbScheme` builds the GDB context (:class:`GdbContext`: RSP
   pipe, stub, client, DMI table and :class:`TargetDriver`) that the
   GDB-Kernel and GDB-Wrapper schemes share.
@@ -143,9 +142,6 @@ class ContextScheme:
         # quarantine.  Set by the checkpoint runner; None = always
         # quarantine.
         self.crash_policy = None
-        # Wall-time attribution profiler (repro.obs.attrib), attached
-        # post-build by attach_attrib; None = zero-cost pass-through.
-        self.attrib = None
         # Dispatch-window span counter; main-thread only, traced only.
         self._par_seq = 0
         # The parallel round runs: a dispatcher is attached and not
@@ -228,19 +224,6 @@ class ContextScheme:
         return True
 
     # -- serial advance ------------------------------------------------------
-
-    def _transport(self, step, argument):
-        """``step(argument)``, charged to the ``transport`` bucket.
-
-        ISS runs nested inside the measure charge their own ``iss.*``
-        buckets, so ``transport`` is left with the pure scheme/protocol
-        overhead.
-        """
-        attrib = self.attrib
-        if attrib is None:
-            return step(argument)
-        with attrib.measure("transport"):
-            return step(argument)
 
     def _advance(self, now):
         """Grant each context its cycle budget as time reaches *now*.

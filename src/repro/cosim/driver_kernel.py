@@ -185,10 +185,7 @@ class DriverKernelScheme(ContextScheme, KernelHook):
         (an in-flight interrupt message, a raised IRQ line, or a
         deliverable vector), so ISR latency is unchanged by batching.
         """
-        if self.attrib is None:
-            self._advance(kernel.now)
-        else:
-            self._transport(self._advance, kernel.now)
+        self._advance(kernel.now)
 
     def _run(self, context, budget):
         """One RTOS advance."""

@@ -58,10 +58,7 @@ class GdbKernelScheme(GdbScheme, KernelHook):
 
     def on_time_advance(self, kernel):
         """Grant each ISS its cycle budget and drive it."""
-        if self.attrib is None:
-            self._advance(kernel.now)
-        else:
-            self._transport(self._advance, kernel.now)
+        self._advance(kernel.now)
 
     def _idle(self, context):
         """Nothing pending or stashed on the client, and a held target

@@ -52,7 +52,7 @@ class GdbWrapperModule(Module):
 
     def _sync_cycle(self):
         """The lock-step sc_method: runs on every clock posedge."""
-        self.scheme._transport(self.scheme._posedge, self.context)
+        self.scheme._posedge(self.context)
 
 
 class GdbWrapperScheme(GdbScheme):

@@ -107,7 +107,6 @@ class Cpu:
         self._watch_hit = None          # (watchpoint, address, value, is_write)
         self._last_stop = None
         self._remote = None             # process-backend execution proxy
-        self._attrib = None             # wall-time attribution profiler
         self.memory.add_code_listener(self._on_code_store)
         self.breakpoints.on_code_change = self._on_breakpoints_changed
 
@@ -422,16 +421,6 @@ class Cpu:
         ``use_blocks = False``).  Both paths are observationally
         equivalent.
         """
-        attrib = self._attrib
-        if attrib is None:
-            return self._run_dispatch(max_instructions, max_cycles)
-        # Per-tier wall-time attribution (repro.obs.attrib).  The
-        # remote proxy's blocking exchange counts as ISS time too —
-        # that is what the master host is spending on execution.
-        with attrib.measure("iss." + self.tier):
-            return self._run_dispatch(max_instructions, max_cycles)
-
-    def _run_dispatch(self, max_instructions=None, max_cycles=None):
         if self._remote is not None:
             return self._remote.run(max_instructions, max_cycles)
         cycle_limit = None if max_cycles is None else self.cycles + max_cycles

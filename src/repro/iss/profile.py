@@ -17,6 +17,8 @@ always-on execution-count profiler of the block dispatch loop — one
 dict bump per *block* entry, not per instruction — whose counts drive
 superblock promotion (:mod:`repro.iss.superblocks`) and the
 ``profile.hot_blocks`` section of BENCH records.
+:func:`side_exit_profile` ranks the superblock tier's side-exit
+counters the same way for ``profile.side_exits``.
 """
 
 from collections import deque
@@ -68,6 +70,22 @@ class BlockProfiler:
     def restore(self, state):
         """Reinstall counts captured by :meth:`state`."""
         self.counts = {int(pc): int(count) for pc, count in state}
+
+
+def side_exit_profile(cpus, limit=8):
+    """Top side-exit sites merged across *cpus*.
+
+    Returns ``[[hex_pc, count], ...]`` hottest first (ties by address)
+    — the superblock starts whose chained traces most often bail out
+    through a guard, i.e. the superblock re-profiling candidates.
+    Plain JSON for the BENCH ``profile.side_exits`` section.
+    """
+    merged = {}
+    for cpu in cpus:
+        for pc, count in cpu.side_exit_sites.items():
+            merged[pc] = merged.get(pc, 0) + count
+    ranked = sorted(merged.items(), key=lambda item: (-item[1], item[0]))
+    return [["0x%08x" % pc, count] for pc, count in ranked[:limit]]
 
 
 class InstructionTracer:

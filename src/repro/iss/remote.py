@@ -158,7 +158,6 @@ def _worker_main(conn, cpu):
     # ships the flag), so a disabled tracer receives no replays.
     buffer = TraceBuffer()
     cpu._remote = None          # this copy executes locally
-    cpu._attrib = None          # wall-time attribution is master-side
     cpu.attach_tracer(buffer)   # also routes breakpoint-set emissions
     try:
         while True:

@@ -30,10 +30,6 @@ visible without perturbing it:
   deterministic kernel-sink sampler feeding a bounded
   sim-time-indexed ring, with NDJSON and Prometheus text exposition
   (``repro metrics`` / ``repro top``);
-- :mod:`repro.obs.attrib` — wall-time attribution: an
-  injectable-clock profiler bucketing exclusive time per layer
-  (per-tier ISS, scheme transport, kernel residual, commit stalls),
-  folded into BENCH ``wall_extra`` as ``attrib.*``;
 - :mod:`repro.obs.stream_bus` — the live subscription bus publishing
   trace/metrics/health events mid-run to NDJSON or callback sinks.
 
@@ -42,8 +38,6 @@ every instrumented hot path is guarded by ``if tracer.enabled:`` so no
 event object or argument dict is ever built for a disabled tracer.
 """
 
-from repro.obs.attrib import (AttributionProfiler, attach_attrib,
-                              attrib_summary, side_exit_profile)
 from repro.obs.bench import BenchReporter, BenchRun
 from repro.obs.health import (Finding, HealthReport, HealthThresholds,
                               analyze_records, analyze_run,
@@ -63,7 +57,6 @@ from repro.obs.tracer import (NULL_TRACER, TraceEvent, Tracer,
                               dump_events, strip_header, trace_header)
 
 __all__ = [
-    "AttributionProfiler",
     "BenchReporter",
     "BenchRun",
     "CallbackSink",
@@ -85,9 +78,7 @@ __all__ = [
     "analyze_records",
     "analyze_run",
     "analyze_series",
-    "attach_attrib",
     "attach_stream",
-    "attrib_summary",
     "build_histograms",
     "build_spans",
     "compare_profiles",
@@ -99,7 +90,6 @@ __all__ = [
     "prometheus_text",
     "publish_report",
     "sampled_counters",
-    "side_exit_profile",
     "spans_from_tracer",
     "strip_header",
     "trace_header",

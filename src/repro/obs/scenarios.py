@@ -11,8 +11,7 @@ event streams.
 
 from dataclasses import dataclass
 
-from repro.obs.attrib import (AttributionProfiler, attach_attrib,
-                              attrib_summary, side_exit_profile)
+from repro.iss.profile import side_exit_profile
 from repro.obs.bench import BenchRun
 from repro.obs.hist import (build_histograms, latency_counters,
                             latency_summaries)
@@ -49,7 +48,7 @@ def run_traced_scenario(scheme, sim_us=120, seed=7, max_packets=2,
                         reliability=None, fault_plan=None,
                         watchdog_ticks=None, tracer=None, capacity=200_000,
                         sync_quantum=1, num_cpus=None, parallel=None,
-                        workers=None, attrib=None, **config_overrides):
+                        workers=None, **config_overrides):
     """Run the quickstart-scale router scenario under *scheme*, traced.
 
     Everything is seeded and simulated-time driven, so two calls with
@@ -88,11 +87,6 @@ def run_traced_scenario(scheme, sim_us=120, seed=7, max_packets=2,
         **extra,
     )
     system = build_system(config)
-    if attrib is not None:
-        # Wall-time attribution hooks in between build and run: the
-        # profiler only reads the host clock, so it never perturbs
-        # the deterministic counters or traces.
-        attach_attrib(system, attrib)
     system.run(sim_us * US)
     return TracedRun(scheme=scheme, system=system, tracer=tracer,
                      stats=system.stats())
@@ -105,9 +99,7 @@ def bench_scenario(scheme, sim_us=120, seed=7, name=None, **overrides):
     ``wall`` object depends on the host.
     """
     run = BenchRun(name=name or ("cli_%s" % scheme)).start()
-    profiler = AttributionProfiler()
-    traced = run_traced_scenario(scheme, sim_us=sim_us, seed=seed,
-                                 attrib=profiler, **overrides)
+    traced = run_traced_scenario(scheme, sim_us=sim_us, seed=seed, **overrides)
     run.stop()
     run.config.update({"scheme": scheme, "sim_us": sim_us, "seed": seed,
                        "sync_quantum": overrides.get("sync_quantum", 1),
@@ -149,12 +141,6 @@ def bench_scenario(scheme, sim_us=120, seed=7, name=None, **overrides):
     parallel_stats = traced.system.parallel_stats(run.wall_seconds)
     if parallel_stats is not None:
         run.wall_extra["parallel"] = parallel_stats
-    # Wall-time attribution: exclusive seconds per layer (per-tier
-    # ISS, scheme transport, kernel residual, commit-stall overlay).
-    # Host-dependent, so it lives next to the parallel figures in
-    # wall_extra, outside the gated counters.
-    run.wall_extra["attrib"] = attrib_summary(
-        profiler, wall_seconds=run.wall_seconds, parallel=parallel_stats)
     traced.system.close()
     return traced, run
 

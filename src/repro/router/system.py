@@ -257,9 +257,6 @@ class RouterSystem:
             for index in range(config.num_ports)
         ]
         self._wire_scheme()
-        # Wall-time attribution profiler slot (repro.obs.attrib's
-        # attach_attrib fills it post-build; host-only, never gated).
-        self.attrib = None
         # Per-quantum telemetry sampler (repro.obs.metrics).  The local
         # scheme has no sync traffic to sample, so it stays None there.
         self.telemetry = None

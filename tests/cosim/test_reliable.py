@@ -6,7 +6,7 @@ in order, given enough transport ticks.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cosim.channels import Pipe
@@ -23,9 +23,14 @@ def _reliable_pair(config=None, faults=None, metrics=None):
                          faults=faults)
 
 
-def _shuttle(side_a, side_b, payloads, max_ticks=5000):
-    """Send *payloads* a→b, ticking both ends until all delivered."""
-    delivered = []
+def _shuttle(side_a, side_b, payloads, max_ticks=5000, delivered=None):
+    """Send *payloads* a→b, ticking both ends until all delivered.
+
+    Payloads land in *delivered* as they arrive, so a caller passing
+    its own list still sees them when the transport raises.
+    """
+    if delivered is None:
+        delivered = []
     for payload in payloads:
         side_a.send(payload)
     ticks = 0
@@ -195,12 +200,32 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31),
            count=st.integers(min_value=1, max_value=30))
+    @example(seed=11843156, count=11)   # exhausts the retry budget
     def test_drop_only_link_always_recovers(self, seed, count):
+        """Every payload arrives in order exactly once, or the sender
+        gives up on a frame past its retry budget, having delivered an
+        in-order, duplicate-free prefix.
+
+        At drop 0.4 a finite ``retry_budget`` can run out; raising
+        :class:`CosimTransportError` then is the layer's contract.
+        """
         plan = FaultPlan(seed=seed, drop=0.4, max_faults=40)
         config = ReliabilityConfig(ack_timeout_polls=3)
         side_a, side_b = _reliable_pair(config, faults=plan)
         payloads = [value.to_bytes(2, "little") for value in range(count)]
-        assert _shuttle(side_a, side_b, payloads) == payloads
+        delivered = []
+        try:
+            _shuttle(side_a, side_b, payloads, delivered=delivered)
+        except CosimTransportError as error:
+            frame = int(str(error).split()[1])
+            assert str(error) == (
+                "frame %d on %s unacknowledged after %d retransmits"
+                % (frame, side_a.label, config.retry_budget))
+            assert 0 <= frame < count
+            assert side_a.retransmits >= config.retry_budget
+            assert delivered == payloads[:len(delivered)]
+            return
+        assert delivered == payloads
         if plan and side_a.retransmits:
             assert side_a.in_flight == 0 or side_a.in_flight <= count
 

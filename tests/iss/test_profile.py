@@ -1,4 +1,8 @@
-from repro.iss.profile import CycleProfiler, InstructionTracer
+from types import SimpleNamespace
+
+from repro.iss.profile import (CycleProfiler, InstructionTracer,
+                               side_exit_profile)
+from repro.obs.scenarios import run_traced_scenario
 from tests.support import make_cpu, run_to_halt
 
 _PROGRAM = """
@@ -90,3 +94,30 @@ class TestCycleProfiler:
         profiler = cpu.attach_observer(CycleProfiler())
         run_to_halt(cpu)
         assert profiler.by_symbol(program.symbols) == {}
+
+
+def test_side_exit_profile_merges_ranks_and_limits():
+    cpus = [SimpleNamespace(side_exit_sites={0x40: 3, 0x80: 1}),
+            SimpleNamespace(side_exit_sites={0x40: 2, 0x20: 5})]
+    profile = side_exit_profile(cpus)
+    assert profile == [["0x00000020", 5], ["0x00000040", 5],
+                       ["0x00000080", 1]]
+    assert side_exit_profile(cpus, limit=1) == [["0x00000020", 5]]
+    assert side_exit_profile([]) == []
+
+
+def test_side_exit_analytics_on_a_checksum_guest():
+    run = run_traced_scenario("gdb-kernel", sim_us=120,
+                              tier="superblocks", algorithm="crc32",
+                              checksum_rounds=8, sync_quantum=8)
+    cpus = run.system.cpus
+    side_exits = sum(cpu.superblock_side_exits for cpu in cpus)
+    assert side_exits > 0      # data-dependent CRC bit branches
+    assert side_exits <= sum(cpu.superblock_exits for cpu in cpus)
+    profile = side_exit_profile(cpus)
+    assert profile
+    assert sum(count for __, count in profile) <= side_exits
+    # The counter also lands on the folded metrics bundle.
+    run.system.fold_cpu_counters()
+    assert run.system.metrics.superblock_side_exits == side_exits
+    run.system.close()
