@@ -17,8 +17,9 @@ shell:
 - ``fuzz --seed S --budget N [--failures-dir D] [--corpus-dir D
   --write-corpus] [--replay PATH]`` — the seeded scenario fuzzer
   (docs/fuzzing.md): samples composed scenarios, judges each with the
-  three-part oracle (health findings, serial-vs-parallel
-  byte-identity, checkpoint round-trip), minimizes and saves failures;
+  four-part oracle (health findings, serial-vs-parallel
+  byte-identity, checkpoint round-trip, traced-vs-untraced
+  fast-forward), minimizes and saves failures;
   ``--replay`` re-judges saved fixtures (a file or a directory), exit
   2 when the path is missing, 1 when any scenario fails;
 - ``checkpoint save|restore|verify`` — deterministic snapshot/restore
@@ -903,7 +904,7 @@ def build_parser():
     bench.set_defaults(func=_cmd_bench)
 
     fuzz = commands.add_parser(
-        "fuzz", help="seeded scenario fuzzing judged by the three-part "
+        "fuzz", help="seeded scenario fuzzing judged by the four-part "
                      "oracle (docs/fuzzing.md)")
     fuzz.add_argument("--seed", type=int, default=7,
                       help="campaign seed (same seed, same budget -> "

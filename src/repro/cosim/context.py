@@ -23,10 +23,12 @@ a quantum window) and ``_parallel_eligible``; its own cycle-begin poll
 and, for Driver-Kernel, interrupt delivery at cycle end.  A kernel-
 embedded scheme also supplies ``_idle`` and ``_skip_polls``, the two
 sides of its poll for the kernel's quiet-timestep fast-forward
-(:meth:`ContextScheme.quiet_steps`).  See
+(:meth:`ContextScheme.quiet_steps`), and one that :attr:`runs_ahead`
+at lock-step supplies ``_run_ahead``.  See
 ``docs/resilience.md`` and ``docs/parallel.md``.
 """
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -193,6 +195,11 @@ class ContextScheme:
         """Account *steps* idle cycle-begin polls of *context*."""
         raise NotImplementedError
 
+    def _run_ahead(self, kernel, times, sinks):
+        """Grant lock-step timesteps ahead of the kernel's delta cycles,
+        up to the first that leaves work for its poll (``skip_steps``)."""
+        raise NotImplementedError
+
     def _parallel_eligible(self, context, lockstep):
         """May *context*'s next run go to the pool instead of serial?"""
         raise NotImplementedError
@@ -303,27 +310,34 @@ class ContextScheme:
 
     # -- quiet-timestep fast-forward (KernelHook) ----------------------------
 
+    #: Does the scheme run lock-step timesteps ahead (``_run_ahead``)?
+    runs_ahead = False
+
     @property
     def skips_quiet(self):
-        """Only a banked quantum turns a timestep into pure accounting."""
-        return self.sync_quantum > 1
+        """A banked quantum turns a timestep into pure accounting; a
+        scheme that runs ahead skips too, unless pooled."""
+        return self.sync_quantum > 1 or (self.runs_ahead
+                                         and not self._pooled)
 
     def quiet_steps(self, kernel):
-        """Coming timesteps in which every context would only bank budget.
+        """Coming timesteps in which every context's poll finds nothing.
 
         Each live context must be idle (its cycle-begin poll finds
-        nothing) and, unless finished, have no stop source forcing a
-        sync; its room is the timesteps its quantum can still bank
-        before it falls due.  Quarantined contexts are never polled.
+        nothing).  A run-ahead's room is unbounded: it stops itself.  Otherwise a running context must also have no
+        stop source forcing a sync; its room is the timesteps its
+        quantum can still bank before it falls due.  Quarantined
+        contexts are never polled.
         """
+        run_ahead = self.runs_ahead
         # The quantum bounds a skip even when no context is running.
-        room = self.sync_quantum - 1
+        room = math.inf if run_ahead else self.sync_quantum - 1
         for context in self.contexts:
             if context.quarantined:
                 continue
             if not self._idle(context):
                 return 0
-            if context.finished:
+            if run_ahead or context.finished:
                 continue
             if self._sync_due(context):
                 return 0
@@ -331,12 +345,15 @@ class ContextScheme:
             room = min(room, binding.quantum - binding.pending_steps - 1)
         return room
 
-    def skip_steps(self, kernel, times):
+    def skip_steps(self, kernel, times, sinks):
         """Account the skipped timesteps as the callbacks would have.
 
-        That is :meth:`_advance`'s banked step and the cycle-begin
-        poll, per context and timestep.
+        A scheme that runs ahead runs them (``_run_ahead``).  Otherwise
+        it is :meth:`_advance`'s banked step and the cycle-begin poll,
+        per context and timestep.
         """
+        if self.runs_ahead:
+            return self._run_ahead(kernel, times, sinks)
         steps = len(times)
         metrics = self.metrics
         metrics.sc_timesteps += steps
@@ -347,6 +364,7 @@ class ContextScheme:
             self._skip_polls(context, steps)
             if not context.finished:
                 context.binding.accumulate_many(times)
+        return steps, False
 
     # -- parallel round ------------------------------------------------------
 

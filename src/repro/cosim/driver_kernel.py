@@ -233,6 +233,53 @@ class DriverKernelScheme(ContextScheme, KernelHook):
     def _skip_polls(self, context, steps):
         context.data_endpoint.poll_count += steps
 
+    @property
+    def runs_ahead(self):
+        """At lock-step the guest runs ahead over quiet timesteps."""
+        return self.sync_quantum == 1
+
+    def _run_ahead(self, kernel, times, sinks):
+        """Run lock-step timesteps ahead of the kernel's delta cycles.
+
+        The guest is master (Fig. 5): between two timesteps the kernel
+        sees it only through the cycle-begin drain of its data socket.
+        So each timestep at *times* gets what its materialised time
+        hook and sinks do — :meth:`_advance`'s grants, then the samples
+        — and, while every polled data socket stays empty, its cycle
+        begin is accounted (the poll, as ``_skip_polls``) and the next
+        timestep follows.  The first timestep that leaves a message to
+        drain, an interrupt to deliver or a stop request is entered:
+        the kernel runs its delta cycle, so ``on_cycle_begin`` drains
+        the message exactly when it would have
+        (:meth:`~repro.sysc.hooks.KernelHook.skip_steps`).
+        """
+        metrics = self.metrics
+        contexts = self.contexts
+        advance = self._advance
+        steps = 0
+        for now in times:
+            kernel.now = now
+            kernel.timestep_count += 1
+            advance(now)
+            for sample in sinks:
+                sample(kernel)
+            if kernel._stop_requested or self._pending_interrupts:
+                return steps, True
+            # quiet_steps admitted only plain sockets: their inbox is
+            # what Endpoint.poll reads.
+            polled = 0
+            for context in contexts:
+                if not context.quarantined:
+                    if context.data_endpoint._inbox:
+                        return steps, True
+                    polled += 1
+            metrics.cheap_polls += polled
+            for context in contexts:
+                if not context.quarantined:
+                    context.data_endpoint.poll_count += 1
+            steps += 1
+        return steps, False
+
     def _parallel_eligible(self, context, lockstep):
         """May *context*'s RTOS advance run on the pool?
 

@@ -7,9 +7,10 @@ established into a bug-finding engine (docs/fuzzing.md):
   topology x traffic model x fault plan x scheme x sync quantum x
   parallelism into serializable :class:`~repro.fuzz.corpus.Scenario`
   configs;
-- :mod:`repro.fuzz.oracle` — the three-part pass/fail oracle: health
+- :mod:`repro.fuzz.oracle` — the four-part pass/fail oracle: health
   analyzer findings, serial-vs-parallel trace/metrics byte-identity,
-  and the checkpoint save/restore/verify round-trip;
+  the checkpoint save/restore/verify round-trip, and traced-vs-untraced
+  fast-forward equivalence;
 - :mod:`repro.fuzz.minimize` — greedy config shrinking of failing
   scenarios;
 - :mod:`repro.fuzz.corpus` — JSON scenario fixtures under

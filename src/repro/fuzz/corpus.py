@@ -1,7 +1,7 @@
 """Scenario fixtures: serializable scenarios and the corpus on disk.
 
 A scenario is a named, fully serializable co-simulation configuration
-plus its simulated horizon — everything the three oracles need to
+plus its simulated horizon — everything the four oracles need to
 re-run it bit-for-bit in a fresh process.  The corpus under
 ``tests/fixtures/scenarios/`` holds discovered-interesting scenarios
 as ``repro-scenario/1`` JSON files; ``tests/fuzz/test_corpus.py``

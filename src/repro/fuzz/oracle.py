@@ -1,4 +1,4 @@
-"""The three-part scenario oracle.
+"""The four-part scenario oracle.
 
 A scenario passes when every invariant the platform promises holds:
 
@@ -6,7 +6,7 @@ A scenario passes when every invariant the platform promises holds:
    finds no critical condition on a fault-free run.  Fault-injected
    scenarios are *chaos*: quarantines, storms and stalls are then the
    expected product of the injected faults, so criticals are recorded
-   as observations instead of failures — what must still hold is 2.
+   as observations instead of failures — what must still hold is 2-4.
 2. **Serial/parallel byte-identity** — the serial run and the
    thread-dispatched parallel run produce identical traces, metrics
    and stats; a run that dies must die identically (same exception,
@@ -15,22 +15,32 @@ A scenario passes when every invariant the platform promises holds:
    saves a snapshot that restores with replay verification
    (:func:`repro.cosim.checkpoint.restore_checkpoint` raises on any
    divergent section).
+4. **Fast-forward** — an untraced serial run ends with the same stats,
+   metrics, per-CPU instructions and cycles, kernel timestep and delta
+   counts and telemetry series (minus its ``trace_dropped`` column) as
+   the traced one.  Tracing disables every quiet-timestep skip
+   (docs/performance.md §3), so this checks skipped ≡ materialised.
 
-Every run is seeded and simulated-time driven, so a failing oracle is
-a reproducible counterexample, not flake.
+Every run builds from the scenario's full config, and is seeded and
+simulated-time driven, so a failing oracle is a reproducible
+counterexample, not flake.
 """
 
+import dataclasses
 import shutil
 import tempfile
 from dataclasses import dataclass, field
 
 from repro.errors import CheckpointError
 from repro.obs.health import analyze_run
-from repro.obs.scenarios import run_traced_scenario
-from repro.obs.tracer import dump_events
+from repro.obs.tracer import Tracer, dump_events
+from repro.router.system import build_system
 from repro.sysc.simtime import US
 
-ORACLES = ("health", "byte-identity", "checkpoint")
+ORACLES = ("health", "byte-identity", "checkpoint", "fast-forward")
+
+#: Ring capacity of each oracle run's tracer.
+TRACE_CAPACITY = 200_000
 
 
 @dataclass
@@ -49,41 +59,75 @@ class OracleResult:
                        for failure in self.failures})
 
 
+def _final_state(system):
+    """What a finished run ends with, for the fast-forward oracle.
+
+    The telemetry series loses its ``trace_dropped`` column: only a
+    traced run's ring can drop events.
+    """
+    state = {
+        "stats": dataclasses.asdict(system.stats()),
+        "cpus": [[cpu.instructions, cpu.cycles] for cpu in system.cpus],
+        "kernel": [system.kernel.timestep_count, system.kernel.delta_count],
+    }
+    if system.telemetry is not None:
+        series = system.telemetry.series
+        dropped = series.counters.index("trace_dropped")
+        state["series"] = [
+            [point.now, point.timestep,
+             point.values[:dropped] + point.values[dropped + 1:]]
+            for point in series.points()]
+    return state
+
+
+def _run(config, sim_us):
+    """Build and run *config* over *sim_us*; the system, or an error
+    signature (a run that dies, dies deterministically)."""
+    system = None
+    try:
+        system = build_system(config)
+        system.run(sim_us * US)
+    except Exception as error:
+        if system is not None:
+            system.close()
+        return None, "%s: %s" % (type(error).__name__, error)
+    return system, None
+
+
 def _run_outcome(scenario, parallel):
     """One traced run: (trace, metrics, stats) or a deterministic
     exception signature."""
-    config = scenario.config
-    try:
-        run = run_traced_scenario(
-            config.scheme, sim_us=scenario.sim_us, seed=config.seed,
-            max_packets=config.max_packets,
-            producer_count=config.producer_count or config.num_ports,
-            inter_packet_delay_us=config.inter_packet_delay // US,
-            reliability=config.reliability, fault_plan=config.fault_plan,
-            watchdog_ticks=config.watchdog_ticks,
-            sync_quantum=config.sync_quantum, num_cpus=config.num_cpus,
-            parallel=parallel, workers=config.workers,
-            num_ports=config.num_ports, stages=config.stages,
-            traffic=config.traffic, burst=config.burst,
-            algorithm=config.algorithm,
-            checksum_rounds=config.checksum_rounds,
-            input_capacity=config.input_capacity,
-            output_capacity=config.output_capacity,
-            num_addresses=config.num_addresses)
-    except Exception as error:
-        return {"error": "%s: %s" % (type(error).__name__, error)}
+    tracer = Tracer(capacity=TRACE_CAPACITY)
+    config = dataclasses.replace(scenario.config, tracer=tracer,
+                                 parallel=parallel or None)
+    system, error = _run(config, scenario.sim_us)
+    if error is not None:
+        return {"error": error}
+    stats = system.stats()
     outcome = {
-        "trace": dump_events(run.tracer.events()),
-        "metrics": run.system.metrics.as_dict(),
-        "stats": (run.stats.generated, run.stats.forwarded,
-                  run.stats.received, run.stats.corrupt,
-                  run.stats.input_drops, run.stats.output_drops),
-        "events": run.tracer.events(),
-        "system_metrics": run.system.metrics,
-        "dropped": run.tracer.dropped,
+        "trace": dump_events(tracer.events()),
+        "metrics": system.metrics.as_dict(),
+        "stats": (stats.generated, stats.forwarded, stats.received,
+                  stats.corrupt, stats.input_drops, stats.output_drops),
+        "events": tracer.events(),
+        "system_metrics": system.metrics,
+        "dropped": tracer.dropped,
+        "final": _final_state(system),
     }
-    run.system.close()
+    system.close()
     return outcome
+
+
+def _untraced_outcome(scenario):
+    """The untraced serial run's final state, or its error signature."""
+    config = dataclasses.replace(scenario.config, tracer=None,
+                                 parallel=None)
+    system, error = _run(config, scenario.sim_us)
+    if error is not None:
+        return {"error": error}
+    final = _final_state(system)
+    system.close()
+    return {"final": final}
 
 
 def _comparable(outcome):
@@ -117,8 +161,21 @@ def _check_checkpoint(scenario, tmp_dir):
     restored.close()
 
 
+def _fast_forward_diverges(traced, untraced):
+    """The fields where the untraced run ends elsewhere, or None."""
+    if "error" in traced or "error" in untraced:
+        if traced.get("error") == untraced.get("error"):
+            return None
+        return "traced=%s, untraced=%s" % (
+            traced.get("error", "completed"),
+            untraced.get("error", "completed"))
+    fields = [name for name in traced["final"]
+              if traced["final"][name] != untraced["final"].get(name)]
+    return ", ".join(fields) if fields else None
+
+
 def run_oracles(scenario, checkpoint=True):
-    """Judge one scenario with all three oracles.
+    """Judge one scenario with all four oracles.
 
     Returns an :class:`OracleResult`; never raises for a *failing*
     scenario (failures are data), only for oracle-machinery bugs.
@@ -170,6 +227,14 @@ def run_oracles(scenario, checkpoint=True):
             result.failures.append("checkpoint: %s" % error)
         finally:
             shutil.rmtree(tmp_dir, ignore_errors=True)
+
+    # Oracle 4: the untraced run may skip quiet timesteps; it must end
+    # where the traced (materialised) run ends.
+    diverged = _fast_forward_diverges(serial, _untraced_outcome(scenario))
+    if diverged is not None:
+        result.failures.append(
+            "fast-forward: untraced run diverges from traced run (%s)"
+            % diverged)
 
     result.passed = not result.failures
     return result

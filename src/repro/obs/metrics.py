@@ -214,7 +214,10 @@ class MetricsSampler:
 
     Sampled by ``Kernel._advance_time`` after every hook has run, so a
     parallel run's quantum commit is always complete when the sample
-    is taken.  A point is recorded only when the *sync progress*
+    is taken.  A Driver-Kernel run at lock-step also samples it from
+    its run-ahead loop (``DriverKernelScheme._run_ahead``), at the same
+    point of each timestep it runs ahead over: after that timestep's
+    grants, with ``kernel.now`` and ``kernel.timestep_count`` set.  A point is recorded only when the *sync progress*
     composite — quantum syncs, sync transactions, grants and
     Driver-Kernel messages — moved since the last point: idle
     timesteps (and the local scheme, which has none of this traffic)

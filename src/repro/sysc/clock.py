@@ -7,7 +7,7 @@ scheduler keeps cycling — which is what lets the co-simulation hooks
 advance the ISS on every SystemC clock period.
 
 An edge nobody waits on is still a timestep, but its only effects are
-counters and the signal's level; :meth:`_EdgeProcess.fast_forward`
+counters and the signal's level; :meth:`_EdgeProcess.skip`
 applies a run of such edges arithmetically for the kernel's
 quiet-timestep fast-forward (:meth:`repro.sysc.kernel.Kernel.run`).
 """
@@ -92,32 +92,41 @@ class _EdgeProcess(Process):
                     or negedge._static_waiters or negedge._dynamic_waiters
                     or changed._static_waiters or changed._dynamic_waiters)
 
-    def fast_forward(self, first, limit, horizon):
-        """Apply up to *limit* unobserved edges from time *first* on.
+    def edge_times(self, first, horizon):
+        """The times of the coming edges from *first* on, lazily.
 
-        Only edges strictly before *horizon* are taken.  Each leaves
-        what :meth:`run` plus the following update and delta
-        notification would have left: the phase, the trigger, posedge
-        and signal write counts, and the signal level.  Returns
-        ``(times, next_edge)``: the times of the edges taken and the
-        time of the first edge not taken; the caller requeues the
-        process there.
+        Only edges strictly before *horizon* are produced, and nothing
+        is changed: the kernel commits the edges its hooks covered
+        afterwards (:meth:`skip`).
+        """
+        clock = self.clock
+        high_time, low_time = clock.high_time, clock.low_time
+        rising = self._rising
+        time = first
+        while time < horizon:
+            yield time
+            time += high_time if rising else low_time
+            rising = not rising
+
+    def skip(self, first, steps):
+        """Apply *steps* unobserved edges, the first at time *first*.
+
+        Each leaves what :meth:`run` plus the following update and
+        delta notification would have left: the phase, the trigger,
+        posedge and signal write counts, and the signal level.  Returns
+        ``(last, after)``: the time of the last edge applied and of the
+        next one; the caller requeues the process at *after*.
         """
         clock = self.clock
         rising = self._rising
-        times = []
-        time = first
-        while len(times) < limit and time < horizon:
-            times.append(time)
-            time += clock.high_time if rising else clock.low_time
-            rising = not rising
-        steps = len(times)
-        if steps:
-            self.trigger_count += steps
-            clock.posedge_count += (steps + self._rising) // 2
-            self._rising = rising
-            signal = clock.signal
-            signal.write_count += steps
-            # The last edge taken was rising exactly when the next is not.
-            signal._current = signal._next = 0 if rising else 1
-        return times, time
+        self.trigger_count += steps
+        clock.posedge_count += (steps + rising) // 2
+        after = first + steps // 2 * clock.period
+        if steps % 2:
+            after += clock.high_time if rising else clock.low_time
+            self._rising = rising = not rising
+        signal = clock.signal
+        signal.write_count += steps
+        # The last edge applied was rising exactly when the next is not.
+        signal._current = signal._next = 0 if rising else 1
+        return after - (clock.low_time if rising else clock.high_time), after

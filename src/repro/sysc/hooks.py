@@ -20,11 +20,18 @@ class KernelHook:
     kernel skips such edges only when every hook sets
     :attr:`skips_quiet`, and then at most :meth:`quiet_steps` of them;
     :meth:`skip_steps` accounts for each one exactly as the three
-    callbacks would have.
+    callbacks would have.  A hook that :attr:`runs_ahead` does real
+    work in those timesteps and may stop early (see
+    :meth:`skip_steps`).
     """
 
     #: May :meth:`quiet_steps` return more than 0?  Read once per run.
     skips_quiet = False
+    #: Does :meth:`skip_steps` run the time hook of each timestep it
+    #: covers, sampling the trace sinks after it, and stop at the first
+    #: that leaves work for its cycle begin?  Such a hook skips alone,
+    #: and the sinks need not be settled.  Read once per run.
+    runs_ahead = False
 
     def on_cycle_begin(self, kernel):
         """Called at the beginning of every simulation (delta) cycle,
@@ -45,13 +52,29 @@ class KernelHook:
 
         A quiet timestep's callbacks would only update counters: they
         neither run processes, move data nor stop the kernel.  0 makes
-        the kernel materialise the next timestep.
+        the kernel materialise the next timestep; a hook that
+        :attr:`runs_ahead` may return ``math.inf``, since it stops
+        itself.
         """
         return 0
 
-    def skip_steps(self, kernel, times):
-        """Account for the skipped quiet timesteps at *times*.
+    def skip_steps(self, kernel, times, sinks):
+        """Account for quiet timesteps at *times*; ``(steps, entered)``.
 
-        *times* are ascending, in femtoseconds; each is accounted as
-        the three callbacks would have accounted it.
+        *times* are ascending, in femtoseconds: a list when every
+        hook's room is finite, else a lazy iterable.  A hook that only
+        accounts covers them all, each as the three callbacks would
+        have, and returns ``(len(times), False)``.
+
+        A hook that :attr:`runs_ahead` runs each timestep's time hook
+        itself: it sets ``kernel.now`` and ``kernel.timestep_count`` as
+        the kernel would, then calls each of the kernel's bound trace
+        *sinks* with the kernel.  When that left nothing for the
+        timestep's cycle begin, it accounts the rest of the timestep
+        (its callbacks at cycle begin and end) and goes on.  Otherwise
+        it stops and returns ``(steps, True)``: *steps* timesteps were
+        covered, and the next one was *entered* — its time hook and
+        sinks have run, and the kernel materialises it from its cycle
+        begin on.
         """
+        raise NotImplementedError

@@ -18,8 +18,10 @@ A timestep whose only due entry is a clock edge nobody waits on is
 *quiet*: when every hook can account for it without running it
 (:meth:`~repro.sysc.hooks.KernelHook.quiet_steps`), the kernel
 fast-forwards a run of them arithmetically (:meth:`Kernel._fast_forward`)
-instead of popping, evaluating and notifying edge by edge.  See
-``docs/performance.md`` §3.
+instead of popping, evaluating and notifying edge by edge.  A hook that
+runs ahead runs each such timestep's time hook and sinks itself and
+hands back the first one that leaves work for its delta cycle, which
+the kernel then enters.  See ``docs/performance.md`` §3.
 """
 
 import itertools
@@ -69,14 +71,22 @@ def _skip_hooks(hooks, sinks, max_deltas):
 
     Every hook must skip quiet timesteps and every trace sink must be
     progress-gated: its ``settled()`` says when a sample would record
-    nothing (:meth:`repro.obs.metrics.MetricsSampler.settled`).  A
-    delta budget counts every timestep's delta, so it keeps them all.
+    nothing (:meth:`repro.obs.metrics.MetricsSampler.settled`).  A hook
+    that runs ahead skips alone: another hook could not follow its
+    early stop.  A delta budget counts every timestep's delta, so it
+    keeps them all.
     """
     if (not hooks or max_deltas is not None
             or not all(getattr(hook, "skips_quiet", False) for hook in hooks)
             or not all(hasattr(sink, "settled") for sink in sinks)):
         return None
+    if len(hooks) > 1 and any(_runs_ahead(hook) for hook in hooks):
+        return None
     return list(hooks)
+
+
+def _runs_ahead(hook):
+    return getattr(hook, "runs_ahead", False)
 
 
 class Kernel:
@@ -381,53 +391,98 @@ class Kernel:
         for sample in sinks:
             sample(self)
 
-    def _fast_forward(self, hooks, settled, end_time):
-        """Skip the quiet clock edges at the top of the heap; True if any.
+    def _fast_forward(self, hooks, sinks, settled, end_time):
+        """Skip the quiet clock edges at the top of the heap.
 
-        The top entry is a clock edge.  It is quiet when no process
-        waits on the clock, no delta work is queued, every progress-
-        gated sink would record nothing (*settled*) and every hook has
-        room; at most the hooks' room is skipped, all strictly before
-        the next other live entry and not past *end_time*.  Each
-        skipped edge leaves exactly what a materialised timestep would
-        have: time, timestep and delta counts (one delta each), one
-        heap sequence number, the clock's counters and level, and the
-        hooks' accounting (:meth:`~repro.sysc.hooks.KernelHook.skip_steps`).
+        Returns None when nothing was skipped, else whether the last
+        timestep was entered.  The top entry is a clock edge.  It is
+        quiet when no process waits on the clock, no delta work is
+        queued, every progress-gated sink would record nothing
+        (*settled*, None for a hook that samples them itself) and every
+        hook has room; at most the hooks' room is offered, all strictly
+        before the next other live entry and not past *end_time*.
+
+        Each covered edge leaves exactly what a materialised timestep
+        would have: time, timestep and delta counts (one delta each),
+        one heap sequence number, the clock's counters and level, and
+        the hooks' accounting
+        (:meth:`~repro.sysc.hooks.KernelHook.skip_steps`).  An entered
+        timestep is left as :meth:`_advance_time` leaves one with its
+        time hooks and sinks run: the edge popped and runnable, its
+        delta cycle next.  A hook that raises leaves the timestep it
+        raised in entered, as a materialised timestep would.
         """
         if self._update_queue or self._delta_events or self._delta_processes:
-            return False
+            return None
         timed = self._timed
         top = timed[0]
         edge = top[2]
         if not edge.unobserved():
-            return False
-        limit = min(hook.quiet_steps(self) for hook in hooks)
+            return None
+        limit = math.inf
+        for hook in hooks:
+            room = hook.quiet_steps(self)
+            if room < limit:
+                limit = room
         if limit <= 0:
-            return False
-        for check in settled:
-            if not check():
-                return False
+            return None
+        if settled is not None:
+            for check in settled:
+                if not check():
+                    return None
         heappop(timed)
         while timed and not timed[0][3]:
             heappop(timed)
         horizon = timed[0][0] if timed else math.inf
         if end_time is not None and end_time < horizon:
             horizon = end_time + 1
-        times, next_edge = edge.fast_forward(top[0], limit, horizon)
-        if not times:
+        first = top[0]
+        if first >= horizon:
             heappush(timed, top)
-            return False
-        steps = len(times)
-        seq = self._seq
-        for _ in range(steps - 1):
-            next(seq)
-        heappush(timed, [next_edge, next(seq), edge, True])
-        self.now = times[-1]
-        self.timestep_count += steps
+            return None
+        times = edge.edge_times(first, horizon)
+        if limit < math.inf:
+            times = list(itertools.islice(times, limit))
+        timestep = self.timestep_count
+        try:
+            for hook in hooks:
+                steps, entered = hook.skip_steps(self, times, sinks)
+        except BaseException:
+            steps = max(self.timestep_count - timestep - 1, 0)
+            entered = True
+            raise
+        finally:
+            self._commit_skip(top, steps, entered, timestep)
+        return entered
+
+    def _commit_skip(self, top, steps, entered, timestep):
+        """Apply *steps* covered edges of *top*'s clock and requeue it.
+
+        Each covered activation requeued the edge and drew one heap
+        sequence number; the edge's next entry carries the last.  An
+        *entered* timestep's entry is popped at once, as
+        :meth:`_advance_time` pops it (its time hooks and sinks have
+        run), so it is never pushed.
+        """
+        edge = top[2]
+        self.timestep_count = timestep + steps
         self.delta_count += steps
-        for hook in hooks:
-            hook.skip_steps(self, times)
-        return True
+        if steps:
+            last, after = edge.skip(top[0], steps)
+            seq = next(itertools.islice(self._seq, steps - 1, None))
+            if not entered:
+                self.now = last
+                heappush(self._timed, [after, seq, edge, True])
+                return
+        elif entered:
+            after = top[0]
+        else:
+            heappush(self._timed, top)
+            return
+        self.now = after
+        self.timestep_count += 1
+        edge._waiting_timeout = False
+        self._make_runnable(edge)
 
     def run(self, duration=None, max_deltas=None):
         """Run the simulation.
@@ -457,8 +512,9 @@ class Kernel:
         sinks = [sink.sample for sink in self.trace_sinks]
         # The quiet-timestep fast-forward is bound once per run too.
         skip_hooks = _skip_hooks(self.hooks, self.trace_sinks, max_deltas)
-        settled = ([sink.settled for sink in self.trace_sinks]
-                   if skip_hooks is not None else None)
+        settled = None
+        if skip_hooks is not None and not _runs_ahead(skip_hooks[0]):
+            settled = [sink.settled for sink in self.trace_sinks]
         tracer = self.tracer
         runnable = self._runnable
         timed = self._timed
@@ -494,10 +550,15 @@ class Kernel:
                 self.now = end_time
                 break
             if (skip_hooks is not None and not tracer.enabled
-                    and timed[0][2].__class__ is _EdgeProcess
-                    and self._fast_forward(skip_hooks, settled, end_time)):
-                # Skipped up to the next other entry or the horizon.
-                if end_time is not None and timed[0][0] > end_time:
+                    and timed[0][2].__class__ is _EdgeProcess):
+                entered = self._fast_forward(skip_hooks, sinks, settled,
+                                             end_time)
+                if entered:
+                    # Its delta cycle is next.
+                    continue
+                if (entered is not None and end_time is not None
+                        and timed[0][0] > end_time):
+                    # Skipped up to the horizon.
                     self.now = end_time
                     break
             self._advance_time(time_hooks, sinks)

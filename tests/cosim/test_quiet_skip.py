@@ -2,30 +2,40 @@
 
 At ``sync_quantum`` > 1 most clock edges of a kernel-embedded scheme
 only bank cycle budget.  The kernel skips runs of such edges
-arithmetically (``Kernel._fast_forward``, docs/performance.md §3); these
-tests prove the skip leaves every observable where materialising each
-edge would have: the run's ``SystemStats``, ``CosimMetrics``, state
-image (``capture_state``, including ``kernel.state_summary()``),
-telemetry series and per-CPU instructions and cycles.
+arithmetically (``Kernel._fast_forward``, docs/performance.md §3).  At
+lock-step the Driver-Kernel scheme instead runs ahead over them: it
+grants and samples each timestep in one loop and hands the kernel back
+the first timestep that leaves a driver message to drain.  These tests
+prove both leave every observable where materialising each edge would
+have: the run's ``SystemStats``, ``CosimMetrics``, state image
+(``capture_state``, including ``kernel.state_summary()``), telemetry
+series and per-CPU instructions and cycles.
 
 The materialised reference is the same run with
 ``ContextScheme.quiet_steps`` patched to 0.  The router configs mirror
-the wall benchmark's ``fastpath`` and ``mpsoc-crc`` workloads, minus
-their pinned dispatcher and tier, so the ``REPRO_PARALLEL`` and
-``REPRO_TIER`` sweeps of the suite run them too.
+the wall benchmark's ``fastpath``, ``mpsoc-crc`` and ``table1``
+workloads.  The first two leave their dispatcher and tier unpinned, so
+the ``REPRO_PARALLEL`` and ``REPRO_TIER`` sweeps of the suite run them
+too; ``table1`` pins the serial dispatcher, because a pooled scheme
+does not run ahead.
 """
 
 import dataclasses
+import math
+import os
 
 import pytest
 
 from repro.cosim.binding import ClockBinding
 from repro.cosim.checkpoint import capture_state
 from repro.cosim.context import ContextScheme
+from repro.cosim.driver_kernel import DriverKernelScheme
 from repro.cosim.faults import FaultPlan
 from repro.cosim.metrics import QUARANTINE_WATCHDOG
+from repro.fuzz.corpus import corpus_paths, load_scenario
 from repro.obs.tracer import Tracer
 from repro.router.system import RouterConfig, RouterSystem
+from repro.rtos.kernel import RtosKernel
 from repro.sysc.clock import Clock
 from repro.sysc.hooks import KernelHook
 from repro.sysc.kernel import Kernel
@@ -43,7 +53,19 @@ WORKLOADS = {
                        checksum_rounds=24, cpu_hz=1_000_000_000,
                        inter_packet_delay=100 * US, sync_quantum=32),
                   1_000 * US),
+    "table1": (dict(inter_packet_delay=30 * US, parallel=None),
+               2_000 * US),
 }
+#: The workloads whose schemes skip at ``sync_quantum`` > 1.
+QUANTUM_WORKLOADS = ("fastpath", "mpsoc-crc")
+
+#: The corpus fixtures that run Driver-Kernel at lock-step.
+LOCKSTEP_DRIVER_FIXTURES = [
+    path for path, config in (
+        (path, load_scenario(path).config) for path in corpus_paths(
+            os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                         "scenarios")))
+    if config.scheme == "driver-kernel" and config.sync_quantum == 1]
 
 
 # -- the kernel on its own ----------------------------------------------------
@@ -69,10 +91,11 @@ class Banker(KernelHook):
     def quiet_steps(self, kernel):
         return self.room
 
-    def skip_steps(self, kernel, times):
+    def skip_steps(self, kernel, times, sinks):
         self.advances.extend(times)
         self.polls += len(times)
         self.skipped += len(times)
+        return len(times), False
 
 
 def _clocked(room, build=None):
@@ -195,6 +218,125 @@ class TestKernelFastForward:
         assert kernel.timestep_count == 200
 
 
+class Runner(KernelHook):
+    """A hook that works at every timestep, as a lock-step scheme does.
+
+    Its time hook leaves work for the cycle begin at the *busy* times
+    (a driver message, in a scheme); with *skips*, it runs ahead over
+    the other timesteps the way ``DriverKernelScheme._run_ahead`` does.
+    """
+
+    runs_ahead = True
+
+    def __init__(self, busy, skips=True, fail_at=None):
+        self.skips_quiet = skips
+        self.busy = set(busy)
+        self.fail_at = fail_at
+        # Every grant and every drain, with the time it saw.
+        self.advances = []
+        self.pending = False
+        self.polls = 0
+        self.skipped = 0
+
+    def on_time_advance(self, kernel):
+        if kernel.now == self.fail_at:
+            raise RuntimeError("grant failed")
+        self.advances.append(("advance", kernel.now, kernel.timestep_count))
+        self.pending = kernel.now in self.busy
+
+    def on_cycle_begin(self, kernel):
+        self.polls += 1
+        if self.pending:
+            self.pending = False
+            self.advances.append(("drain", kernel.now, kernel.delta_count))
+
+    def quiet_steps(self, kernel):
+        return 0 if self.pending else math.inf
+
+    def skip_steps(self, kernel, times, sinks):
+        steps = 0
+        for now in times:
+            kernel.now = now
+            kernel.timestep_count += 1
+            self.on_time_advance(kernel)
+            for sample in sinks:
+                sample(kernel)
+            if self.pending:
+                return steps, True
+            self.polls += 1
+            self.skipped += 1
+            steps += 1
+        return steps, False
+
+
+class Sampler:
+    """A progress-gated trace sink that logs every sample."""
+
+    def __init__(self):
+        self.samples = []
+
+    def settled(self):
+        return True
+
+    def sample(self, kernel):
+        self.samples.append((kernel.now, kernel.timestep_count))
+
+
+class TestKernelRunAhead:
+    BUSY = (20 * NS, 25 * NS, 95 * NS, 100 * NS, 105 * NS, 410 * NS)
+
+    def _run(self, skips, spans, build=None, fail_at=None):
+        kernel = Kernel("ahead")
+        clock = Clock(10 * NS, "clk", kernel=kernel)
+        hook = kernel.add_hook(Runner(self.BUSY, skips, fail_at))
+        sink = kernel.add_trace(Sampler())
+        seen = []
+        if build is not None:
+            build(kernel, clock, seen)
+        for span in spans:
+            kernel.run(span)
+        image = _image(kernel, clock, hook, seen)
+        image["samples"] = sink.samples
+        return image, hook
+
+    def test_entered_timesteps_drain_at_their_cycle_begin(self):
+        ahead, hook = self._run(True, [1 * US])
+        reference, __ = self._run(False, [1 * US])
+        assert hook.skipped > 0
+        assert ahead == reference
+        drains = [entry[1] for entry in ahead["hook"][0]
+                  if entry[0] == "drain"]
+        assert drains == list(self.BUSY)
+
+    def test_stops_before_timed_entries_and_at_horizons(self):
+        build = _sleeper([73 * NS, 7 * NS, 50 * NS, 20 * NS, 333 * NS])
+        spans = (33 * NS, 40 * NS, 500 * NS, 427 * NS)
+        ahead, hook = self._run(True, spans, build)
+        assert hook.skipped > 0
+        assert ahead == self._run(False, spans, build)[0]
+
+    def test_a_failing_grant_leaves_its_timestep_entered(self):
+        images = []
+        for skips in (True, False):
+            kernel = Kernel("ahead")
+            Clock(10 * NS, "clk", kernel=kernel)
+            kernel.add_hook(Runner(self.BUSY, skips, fail_at=305 * NS))
+            with pytest.raises(RuntimeError):
+                kernel.run(1 * US)
+            images.append(kernel.state_summary())
+        assert images[0] == images[1]
+        assert images[0]["now"] == 305 * NS
+
+    def test_runs_ahead_only_alone(self):
+        kernel = Kernel("ahead")
+        Clock(10 * NS, "clk", kernel=kernel)
+        hook = kernel.add_hook(Runner(self.BUSY))
+        kernel.add_hook(Banker(5))
+        kernel.run(1 * US)
+        assert hook.skipped == 0
+        assert kernel.timestep_count == 200
+
+
 def test_accumulate_many_matches_accumulate():
     # An awkward frequency and uneven steps keep the float carry busy.
     times = [18, 54, 97, 5_000_000, 12_345_678, 333_333_333]
@@ -218,6 +360,7 @@ def _system(workload, scheme, seed=42, **overrides):
 
 def _observe(system):
     return dict(stats=dataclasses.asdict(system.stats()),
+                metrics=system.metrics.as_dict(),
                 state=capture_state(system),
                 series=system.telemetry.series.dump(),
                 cpus=[[cpu.instructions, cpu.cycles]
@@ -226,54 +369,68 @@ def _observe(system):
 
 @pytest.fixture
 def skip_counter(monkeypatch):
-    """Counts the timesteps ContextScheme.skip_steps accounts for."""
-    counts = {"steps": 0, "held": 0}
+    """Counts the timesteps ContextScheme.skip_steps covers and enters."""
+    counts = {"steps": 0, "entered": 0, "held": 0}
     skip_steps = ContextScheme.skip_steps
 
-    def counting(self, kernel, times):
-        counts["steps"] += len(times)
+    def counting(self, kernel, times, sinks):
+        steps, entered = skip_steps(self, kernel, times, sinks)
+        counts["steps"] += steps
+        counts["entered"] += entered
         counts["held"] += sum(
             1 for context in self.contexts
             if not context.quarantined
             and getattr(getattr(context, "driver", None), "held_at", None)
             is not None)
-        return skip_steps(self, kernel, times)
+        return steps, entered
 
     monkeypatch.setattr(ContextScheme, "skip_steps", counting)
     return counts
 
 
-def _run_both(monkeypatch, workload, scheme, seed=42, between=None,
-              **overrides):
-    """``(skipped, materialised)`` observations of one workload cell.
-
-    *between(system)*, if given, runs after the first half of the span
-    in both runs.
-    """
-    __, span = WORKLOADS[workload]
+def _observe_both(monkeypatch, build, run):
+    """``(skipped, materialised)`` observations of ``run(build())``."""
     observed = []
     for materialise in (False, True):
         with monkeypatch.context() as patch:
             if materialise:
                 patch.setattr(ContextScheme, "quiet_steps",
                               lambda self, kernel: 0)
-            system = _system(workload, scheme, seed, **overrides)
+            system = build()
             try:
-                if between is None:
-                    system.run(span)
-                else:
-                    system.run(span // 2)
-                    between(system)
-                    system.run(span - span // 2)
+                run(system)
                 observed.append(_observe(system))
             finally:
                 system.close()
     return observed
 
 
+def _run_both(monkeypatch, workload, scheme, seed=42, between=None,
+              spans=None, **overrides):
+    """``(skipped, materialised)`` observations of one workload cell.
+
+    *between(system)*, if given, runs after the first half of the span
+    in both runs; *spans*, if given, replace the span by these runs.
+    """
+    __, span = WORKLOADS[workload]
+    if spans is None:
+        spans = [span] if between is None else [span // 2,
+                                                span - span // 2]
+
+    def run(system):
+        for index, part in enumerate(spans):
+            if index and between is not None:
+                between(system)
+            system.run(part)
+
+    return _observe_both(
+        monkeypatch, lambda: _system(workload, scheme, seed, **overrides),
+        run)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("workload", QUANTUM_WORKLOADS)
 def test_skip_equals_materialised(monkeypatch, skip_counter, workload,
                                   scheme, seed):
     skipped, materialised = _run_both(monkeypatch, workload, scheme, seed)
@@ -342,6 +499,149 @@ def test_progress_between_runs_is_sampled(monkeypatch, skip_counter, scheme):
                                       between=flush)
     assert skip_counter["steps"] > 0
     assert skipped == materialised
+
+
+# -- the Driver-Kernel run-ahead at lock-step ---------------------------------
+
+@pytest.fixture
+def run_ahead_log(monkeypatch):
+    """Logs each run-ahead: where it entered, and what it saw happen
+    while running (watchdog quarantines)."""
+    log = {"entered_at": [], "inside": False, "quarantines": 0}
+    run_ahead = DriverKernelScheme._run_ahead
+    quarantine = ContextScheme._quarantine
+
+    def logging(self, kernel, times, sinks):
+        log["inside"] = True
+        try:
+            steps, entered = run_ahead(self, kernel, times, sinks)
+        finally:
+            log["inside"] = False
+        if entered:
+            log["entered_at"].append(kernel.now)
+        return steps, entered
+
+    def counting(self, context, reason, detail=None):
+        log["quarantines"] += log["inside"]
+        return quarantine(self, context, reason, detail)
+
+    monkeypatch.setattr(DriverKernelScheme, "_run_ahead", logging)
+    monkeypatch.setattr(ContextScheme, "_quarantine", counting)
+    return log
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_run_ahead_equals_materialised(monkeypatch, skip_counter, seed):
+    ahead, materialised = _run_both(monkeypatch, "table1", "driver-kernel",
+                                    seed)
+    assert skip_counter["steps"] > 0 and skip_counter["entered"] > 0
+    assert ahead == materialised
+
+
+@pytest.mark.parametrize(
+    "path", LOCKSTEP_DRIVER_FIXTURES,
+    ids=[os.path.splitext(os.path.basename(path))[0]
+         for path in LOCKSTEP_DRIVER_FIXTURES])
+def test_lockstep_driver_fixtures(monkeypatch, skip_counter, path):
+    scenario = load_scenario(path)
+    config = scenario.config
+    ahead, materialised = _observe_both(
+        monkeypatch, lambda: RouterSystem(config),
+        lambda system: system.run(scenario.sim_us * US))
+    # Reliable and fault-injected sockets draw from RNG streams at
+    # every poll: those runs materialise every timestep.
+    plain = config.fault_plan is None and not config.reliability
+    assert (skip_counter["steps"] > 0) == plain
+    assert ahead == materialised
+
+
+def test_entered_timestep_drains_its_message(monkeypatch, skip_counter,
+                                              run_ahead_log):
+    # A covered timestep whose grant sends a driver message is entered,
+    # and on_cycle_begin drains the message at that timestep, in the
+    # same delta cycle as when every timestep is materialised.
+    drains = []
+    handle = DriverKernelScheme._handle_message
+
+    def logging(self, context, message):
+        kernel = self.kernel
+        drains[-1].append((kernel.now, kernel.timestep_count,
+                           kernel.delta_count, message.type.name,
+                           message.sequence))
+        return handle(self, context, message)
+
+    monkeypatch.setattr(DriverKernelScheme, "_handle_message", logging)
+
+    def build():
+        drains.append([])
+        return _system("table1", "driver-kernel")
+
+    __, span = WORKLOADS["table1"]
+    ahead, materialised = _observe_both(monkeypatch, build,
+                                        lambda system: system.run(span))
+    assert ahead == materialised
+    assert drains[0] == drains[1]
+    entered = run_ahead_log["entered_at"]
+    assert len(entered) == skip_counter["entered"] > 0
+    assert set(entered) <= {drain[0] for drain in drains[0]}
+
+
+def test_watchdog_quarantine_mid_run(monkeypatch, skip_counter,
+                                     run_ahead_log):
+    ahead, materialised = _run_both(monkeypatch, "table1", "driver-kernel",
+                                    watchdog_ticks=4)
+    assert run_ahead_log["quarantines"] > 0
+    assert ahead["stats"]["metrics"]["contexts_quarantined"] == 1
+    assert ahead == materialised
+
+
+def test_guest_halting_mid_run(monkeypatch, skip_counter, run_ahead_log):
+    advance = RtosKernel.advance
+    halted_inside = []
+
+    def halting(self, budget):
+        self.advances = getattr(self, "advances", 0) + 1
+        if self.advances == 1_501:
+            self.cpu.halted = True
+            halted_inside.append(run_ahead_log["inside"])
+        return advance(self, budget)
+
+    monkeypatch.setattr(RtosKernel, "advance", halting)
+    ahead, materialised = _run_both(monkeypatch, "table1", "driver-kernel")
+    assert halted_inside == [True, False]
+    assert ahead["state"] == materialised["state"]
+    assert ahead == materialised
+
+
+def test_run_ahead_across_run_horizons(monkeypatch, skip_counter):
+    # Horizons between two edges, one femtosecond past one, and on one.
+    spans = [97 * US + 250 * NS, 1 * US + 750 * NS, 400 * US,
+             501 * US + 1, 250 * NS]
+    ahead, materialised = _run_both(monkeypatch, "table1", "driver-kernel",
+                                    spans=spans)
+    assert skip_counter["steps"] > 0
+    assert ahead == materialised
+
+
+@pytest.mark.parametrize("variant", [
+    "traced", "pooled", "max_deltas", "gdb-kernel"])
+def test_lockstep_runs_that_materialise(skip_counter, variant):
+    scheme = "gdb-kernel" if variant == "gdb-kernel" else "driver-kernel"
+    overrides = {}
+    if variant == "traced":
+        overrides["tracer"] = Tracer()
+    if variant == "pooled":
+        overrides["parallel"] = "thread"
+    system = _system("table1", scheme, **overrides)
+    try:
+        if variant == "max_deltas":
+            system.kernel.run(200 * US, max_deltas=10 ** 9)
+        else:
+            system.run(200 * US)
+    finally:
+        system.close()
+    assert skip_counter == {"steps": 0, "entered": 0, "held": 0}
+    assert system.kernel.timestep_count == 400
 
 
 # -- what an idle context is --------------------------------------------------

@@ -1,7 +1,7 @@
 """The corpus replay harness (docs/fuzzing.md).
 
 Every scenario fixture under ``tests/fixtures/scenarios/`` replays as
-an ordinary pytest case judged by the full three-part oracle, so a
+an ordinary pytest case judged by the full four-part oracle, so a
 regression that breaks any discovered-interesting composition fails CI
 with the scenario's name.  The corpus was produced by
 ``repro fuzz --seed 7 --budget 24 --write-corpus``; regenerating with

@@ -1,4 +1,4 @@
-"""The three-part oracle on live scenarios."""
+"""The four-part oracle on live scenarios."""
 
 from repro.cosim.faults import FaultPlan
 from repro.fuzz import run_oracles
