@@ -10,7 +10,8 @@ counts per timestep is deterministic, so it is gated instead:
 - the wall benchmark's ``table1`` Driver-Kernel cell (seed 42, lock-step),
   over 2 000 us after a 100 us warm-up, where the scheme runs ahead
   over about 85% of the timesteps (quiet clock edges): each is granted
-  and sampled in one loop, without its delta cycle and hook frames;
+  in one loop, without its delta cycle and hook frames, and sampled
+  only at the telemetry grid's 10 us boundaries;
 - its ``mpsoc-crc`` Driver-Kernel cell (seed 42, sync quantum 32) over
   the same span, where the kernel fast-forwards about 95% of the
   timesteps.
@@ -19,9 +20,10 @@ Both cell counts are per *simulated* timestep, skipped ones included,
 so a change that silently stops the lock-step run-ahead (about 84
 calls) or the quantum fast-forward (about 117 calls) fails here.
 
-Each bound is the count measured when the path landed (CPython 3.11)
-plus 10%: the lean timestep for the bare clock, the lock-step run-ahead
-for ``table1`` and the quiet-timestep fast-forward for ``mpsoc-crc``.
+Each bound is the count measured when the path last got shorter
+(CPython 3.11) plus 10%: the lean timestep for the bare clock, and the
+telemetry grid on top of the lock-step run-ahead for ``table1`` and on
+top of the quiet-timestep fast-forward for ``mpsoc-crc``.
 A change that puts calls back on the path fails here; one that removes
 more should lower the bound.
 """
@@ -43,12 +45,13 @@ WARMUP = 100 * US
 SPAN = 2000 * US
 #: Calls per timestep when the lean timestep landed, plus 10%.
 BARE_CLOCK_BOUND = 18.0 * 1.10
-#: Calls per simulated timestep when the lock-step run-ahead landed,
+#: Calls per simulated timestep once telemetry sampled on its 10 us
+#: grid (the lock-step run-ahead's samples reduced to a time compare),
 #: plus 10%.
-DRIVER_CELL_BOUND = 67.3 * 1.10
-#: Calls per simulated timestep when the quiet-timestep fast-forward
-#: landed, plus 10%.
-QUIET_SKIP_BOUND = 64.3 * 1.10
+DRIVER_CELL_BOUND = 64.3 * 1.10
+#: Calls per simulated timestep once telemetry sampled on its 10 us
+#: grid (on top of the quiet-timestep fast-forward), plus 10%.
+QUIET_SKIP_BOUND = 62.3 * 1.10
 
 
 def calls_per_timestep(kernel, run):

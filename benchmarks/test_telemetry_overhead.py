@@ -1,6 +1,6 @@
 """Telemetry-overhead gate for the parallel MPSoC workload.
 
-Always-on per-quantum telemetry is only acceptable if it is nearly
+Always-on grid telemetry is only acceptable if it is nearly
 free: the bar is <10% wall time for the sampler over a run with
 telemetry disabled, on the same compute-heavy GDB-Kernel MPSoC
 workload the checkpoint gate uses (CRC-32 guests on forked process
@@ -25,7 +25,8 @@ WORKLOAD = dict(
     inter_packet_delay=100 * US, sync_quantum=32,
     cpu_hz=1_000_000_000, parallel="process", workers=4)
 SIM_TIME = 4 * 64 * 32 * US
-#: The acceptance bar; the sampler fires once per committed quantum.
+#: The acceptance bar; the sampler records at most one point per 10 us
+#: grid period.
 MAX_OVERHEAD = 0.10
 REPEATS = 4
 
@@ -81,5 +82,5 @@ def test_telemetry_determinism_and_overhead(benchmark, summary):
             % (plain, instrumented, 100 * overhead, len(ratios),
                100 * MAX_OVERHEAD))
     assert overhead < MAX_OVERHEAD, (
-        "per-quantum telemetry costs %.1f%% wall time "
+        "grid telemetry costs %.1f%% wall time "
         "(gate: %.0f%%)" % (100 * overhead, 100 * MAX_OVERHEAD))

@@ -40,11 +40,11 @@ shell:
   finding is critical, 2 with a one-line message when a named
   records/baseline/checkpoint directory is missing;
 - ``metrics [--scheme S] [--format ndjson|json|prom] [-o PATH]`` —
-  the per-quantum telemetry time-series of a pinned scenario
-  (docs/observability.md): one point per committed sync quantum,
+  the telemetry time-series of a pinned scenario
+  (docs/observability.md): at most one point per 10 us grid period,
   exportable as NDJSON, canonical JSON or Prometheus text exposition;
 - ``top [--scheme S] [--once]`` — a live ``top``-style counter view:
-  totals and windowed per-quantum rates, redrawn between simulated
+  totals and windowed per-grid-period rates, redrawn between simulated
   time slices (``--once`` prints a single final snapshot for CI);
 - ``bench [--scheme S|all] [--out-dir D] [--quantum N] [--dmi]
   [--tier T]
@@ -549,7 +549,7 @@ def _render_top(series, scheme, window):
     title = ("%s  t=%dfs  timestep=%d  points=%d (evicted %d)"
              % (scheme, sample["sim_now_fs"], sample["timestep"],
                 sample["points"], sample["points_evicted"]))
-    return render_table(["counter", "total", "/quantum(w=%d)" % window],
+    return render_table(["counter", "total", "/period(w=%d)" % window],
                         rows, title=title)
 
 
@@ -821,7 +821,8 @@ def build_parser():
     health.set_defaults(func=_cmd_health)
 
     metrics = commands.add_parser(
-        "metrics", help="per-quantum telemetry time-series export "
+        "metrics", help="telemetry time-series export, at most one "
+                        "point per 10 us grid period "
                         "(docs/observability.md)")
     metrics.add_argument("--scheme", default="gdb-kernel",
                          choices=["gdb-wrapper", "gdb-kernel",
@@ -855,7 +856,7 @@ def build_parser():
                      help="sync quantum (batched timesteps per ISS "
                           "synchronisation)")
     top.add_argument("--window", type=int, default=8,
-                     help="points in the per-quantum rate window")
+                     help="points in the per-grid-period rate window")
     top.add_argument("--refresh", type=int, default=6,
                      help="live redraws (the run advances in this many "
                           "simulated-time slices)")

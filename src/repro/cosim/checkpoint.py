@@ -39,7 +39,7 @@ from repro.errors import CheckpointError, RecoverableCrashError, parse_crash
 from repro.cosim.metrics import QUARANTINE_WATCHDOG, QUARANTINE_WORKER
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Codes the default recovery policy heals.  ``transport-error`` is
 #: deliberately absent: a deterministic fault-injected link would fail
@@ -306,7 +306,7 @@ def _metrics_state(system):
 
 
 def _telemetry_state(system):
-    """The per-quantum telemetry series (repro.obs.metrics).
+    """The grid telemetry series (repro.obs.metrics).
 
     Replay regenerates the series point for point — the sampling gate
     and every sampled counter derive from simulation state — so the

@@ -29,6 +29,7 @@ at lock-step supplies ``_run_ahead``.  See
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -44,6 +45,7 @@ from repro.errors import CosimTransportError, RecoverableCrashError
 from repro.gdb.client import GdbClient
 from repro.gdb.stub import GdbStub
 from repro.iss.remote import RemoteWorkerError
+from repro.sysc.hooks import sinks_due
 
 #: Failures of a drive path that quarantine the context (or elect
 #: recovery) instead of stopping the simulation.
@@ -350,21 +352,40 @@ class ContextScheme:
 
         A scheme that runs ahead runs them (``_run_ahead``).  Otherwise
         it is :meth:`_advance`'s banked step and the cycle-begin poll,
-        per context and timestep.
+        per context and timestep, with a due trace sink sampled in
+        place: after its timestep's banked step, before its poll.
         """
         if self.runs_ahead:
             return self._run_ahead(kernel, times, sinks)
         steps = len(times)
+        timestep = kernel.timestep_count
+        banked = polled = 0
+        due = sinks_due(sinks)
+        while due <= times[-1]:
+            at = bisect_left(times, due, banked)
+            self._cover(times[banked:at + 1], at - polled)
+            banked, polled = at + 1, at
+            kernel.now = times[at]
+            kernel.timestep_count = timestep + banked
+            for sink in sinks:
+                sink.sample(kernel)
+            due = sinks_due(sinks)
+        self._cover(times[banked:], steps - polled)
+        return steps, False
+
+    def _cover(self, times, polls):
+        """Bank the timesteps at *times* and account *polls* idle
+        cycle-begin polls, per live context."""
         metrics = self.metrics
-        metrics.sc_timesteps += steps
+        metrics.sc_timesteps += len(times)
         for context in self.contexts:
             if context.quarantined:
                 continue
-            metrics.cheap_polls += steps
-            self._skip_polls(context, steps)
-            if not context.finished:
+            if polls:
+                metrics.cheap_polls += polls
+                self._skip_polls(context, polls)
+            if times and not context.finished:
                 context.binding.accumulate_many(times)
-        return steps, False
 
     # -- parallel round ------------------------------------------------------
 

@@ -36,7 +36,7 @@ from repro.cosim.messages import (DATA_PORT, DESCRIPTOR, INTERRUPT_PORT,
                                   interrupt_message, pack_message,
                                   unpack_message)
 from repro.cosim.ports import IssInPort, IssOutPort
-from repro.sysc.hooks import KernelHook
+from repro.sysc.hooks import KernelHook, sinks_due
 
 _PORT_KINDS = {"iss_in": IssInPort, "iss_out": IssOutPort}
 
@@ -244,11 +244,11 @@ class DriverKernelScheme(ContextScheme, KernelHook):
         The guest is master (Fig. 5): between two timesteps the kernel
         sees it only through the cycle-begin drain of its data socket.
         So each timestep at *times* gets what its materialised time
-        hook and sinks do — :meth:`_advance`'s grants, then the samples
-        — and, while every polled data socket stays empty, its cycle
-        begin is accounted (the poll, as ``_skip_polls``) and the next
-        timestep follows.  The first timestep that leaves a message to
-        drain, an interrupt to deliver or a stop request is entered:
+        hook and sinks do — :meth:`_advance`'s grants, then the due
+        samples — and, while every polled data socket stays empty, its
+        cycle begin is accounted (the poll, as ``_skip_polls``) and the
+        next timestep follows.  The first timestep that leaves a message
+        to drain, an interrupt to deliver or a stop request is entered:
         the kernel runs its delta cycle, so ``on_cycle_begin`` drains
         the message exactly when it would have
         (:meth:`~repro.sysc.hooks.KernelHook.skip_steps`).
@@ -256,13 +256,16 @@ class DriverKernelScheme(ContextScheme, KernelHook):
         metrics = self.metrics
         contexts = self.contexts
         advance = self._advance
+        due = sinks_due(sinks)
         steps = 0
         for now in times:
             kernel.now = now
             kernel.timestep_count += 1
             advance(now)
-            for sample in sinks:
-                sample(kernel)
+            if now >= due:
+                for sink in sinks:
+                    sink.sample(kernel)
+                due = sinks_due(sinks)
             if kernel._stop_requested or self._pending_interrupts:
                 return steps, True
             # quiet_steps admitted only plain sockets: their inbox is

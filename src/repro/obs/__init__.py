@@ -26,9 +26,9 @@ visible without perturbing it:
   retransmission storms, quarantines, hold hot spots, latency
   regressions, windowed telemetry rates) with a CI-friendly exit
   code, behind ``repro health``;
-- :mod:`repro.obs.metrics` — the per-quantum telemetry time-series: a
-  deterministic kernel-sink sampler feeding a bounded
-  sim-time-indexed ring, with NDJSON and Prometheus text exposition
+- :mod:`repro.obs.metrics` — the telemetry time-series on a 10 us
+  simulated-time grid: a deterministic kernel-sink sampler feeding a
+  bounded sim-time-indexed ring, with NDJSON and Prometheus text exposition
   (``repro metrics`` / ``repro top``);
 - :mod:`repro.obs.stream_bus` — the live subscription bus publishing
   trace/metrics/health events mid-run to NDJSON or callback sinks.

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.bench import load_report
 from repro.obs.hist import LATENCY_KINDS
+from repro.obs.metrics import grid_periods
 from repro.obs.spans import build_spans
 
 SEVERITIES = ("info", "warning", "critical")
@@ -53,14 +54,16 @@ class HealthThresholds:
     #: back cleanly — see docs/dmi.md).
     dmi_invalidation_storm: int = 6
     #: telemetry points of the windowed-rate rules' sliding window
-    #: (:func:`analyze_series`; one point per committed quantum).
+    #: (:func:`rate_findings`; at most one point per 10 us grid
+    #: period, so the window covers the same simulated time for every
+    #: scheme and sync quantum).
     rate_window: int = 8
-    #: retransmits per committed quantum, sustained over the window,
-    #: before the link counts as storming *right now* — the live
-    #: counterpart of the run-total ``retransmit_storm`` rule.
+    #: retransmits per grid period, sustained over the window, before
+    #: the link counts as storming *right now* — the live counterpart
+    #: of the run-total ``retransmit_storm`` rule.
     retransmit_rate: float = 2.0
-    #: DMI invalidations per committed quantum over the window before
-    #: the grant/invalidate cycle counts as thrashing live.
+    #: DMI invalidations per grid period over the window before the
+    #: grant/invalidate cycle counts as thrashing live.
     dmi_invalidation_rate: float = 1.5
 
 
@@ -326,17 +329,55 @@ def analyze_records(records_dir, baseline_dir=None, thresholds=None):
     return report
 
 
+def rate_findings(first, last, span, thresholds):
+    """The windowed-rate rules over one window of telemetry points.
+
+    *first* and *last* map counter names to the cumulative values of
+    the window's oldest and newest point; *span* is the grid periods
+    between them (:func:`repro.obs.metrics.grid_periods`), so every
+    rate is per 10 us of simulated time.  The end-of-run
+    :func:`analyze_series` and the live
+    :class:`~repro.obs.stream_bus.StreamHealthMonitor` both apply
+    these rules; returns their :class:`Finding` list.
+    """
+    def rate(name):
+        return (last.get(name, 0) - first.get(name, 0)) / span
+
+    findings = []
+    retransmit_rate = rate("retransmits")
+    if retransmit_rate >= thresholds.retransmit_rate:
+        findings.append(Finding(
+            "critical", "retransmit-rate", "transport",
+            "%.2f retransmits/period over the last %d grid period(s) "
+            "(threshold %g): the link is storming right now"
+            % (retransmit_rate, span, thresholds.retransmit_rate)))
+    dmi_rate = rate("dmi_invalidations")
+    if dmi_rate >= thresholds.dmi_invalidation_rate:
+        findings.append(Finding(
+            "critical", "dmi-invalidation-rate", "dmi",
+            "%.2f invalidations/period over the last %d grid period(s) "
+            "(threshold %g): the grant/invalidate cycle is thrashing "
+            "live" % (dmi_rate, span, thresholds.dmi_invalidation_rate)))
+    if rate("iss_cycles") == 0.0 and rate("sc_timesteps") > 0.0:
+        findings.append(Finding(
+            "warning", "no-execution-progress", "iss",
+            "0 ISS cycles retired over the last %d grid period(s) while "
+            "SystemC advanced: every context is parked or wedged"
+            % span))
+    return findings
+
+
 def analyze_series(series, thresholds=None):
     """Windowed-rate rules over a telemetry time-series.
 
-    *series* is a :class:`~repro.obs.metrics.MetricsSeries` (one point
-    per committed quantum).  Where :func:`analyze_run` sees only run
-    totals, these rules evaluate the *recent* per-quantum rates over
-    the newest ``thresholds.rate_window`` points: a link can be
-    storming right now even though the whole-run retransmit total is
-    still under the storm threshold, and a run that stopped retiring
-    ISS cycles while SystemC timesteps keep advancing is wedged no
-    matter what the totals say.
+    *series* is a :class:`~repro.obs.metrics.MetricsSeries` (at most
+    one point per 10 us grid period).  Where :func:`analyze_run` sees
+    only run totals, these rules (:func:`rate_findings`) evaluate the
+    *recent* per-period rates over the newest
+    ``thresholds.rate_window`` points: a link can be storming right now
+    even though the whole-run retransmit total is still under the storm
+    threshold, and a run that stopped retiring ISS cycles while SystemC
+    timesteps keep advancing is wedged no matter what the totals say.
     """
     thresholds = thresholds or HealthThresholds()
     report = HealthReport()
@@ -345,35 +386,16 @@ def analyze_series(series, thresholds=None):
                    "%d telemetry point(s): too few for windowed rates"
                    % len(series))
         return report
-    window = min(len(series), thresholds.rate_window)
-    rates = series.rates(window)
-
-    retransmit_rate = rates.get("retransmits", 0.0)
-    if retransmit_rate >= thresholds.retransmit_rate:
-        report.add("critical", "retransmit-rate", "transport",
-                   "%.2f retransmits/quantum over the last %d point(s) "
-                   "(threshold %g): the link is storming right now"
-                   % (retransmit_rate, window, thresholds.retransmit_rate))
-
-    dmi_rate = rates.get("dmi_invalidations", 0.0)
-    if dmi_rate >= thresholds.dmi_invalidation_rate:
-        report.add("critical", "dmi-invalidation-rate", "dmi",
-                   "%.2f invalidations/quantum over the last %d point(s) "
-                   "(threshold %g): the grant/invalidate cycle is "
-                   "thrashing live"
-                   % (dmi_rate, window, thresholds.dmi_invalidation_rate))
-
-    if rates.get("iss_cycles", 0.0) == 0.0 \
-            and rates.get("sc_timesteps", 0.0) > 0.0:
-        report.add("warning", "no-execution-progress", "iss",
-                   "0 ISS cycles retired over the last %d point(s) while "
-                   "SystemC advanced: every context is parked or wedged"
-                   % window)
-
+    points = series.window(thresholds.rate_window)
+    first, last = points[0], points[-1]
+    report.findings.extend(rate_findings(
+        dict(zip(series.counters, first.values)),
+        dict(zip(series.counters, last.values)),
+        grid_periods(first.now, last.now), thresholds))
     if not report.findings:
         report.add("info", "telemetry", "series",
                    "%d point(s), window %d: rates within thresholds"
-                   % (len(series), window))
+                   % (len(series), len(points)))
     return report
 
 

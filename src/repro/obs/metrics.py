@@ -1,20 +1,23 @@
-"""Per-quantum telemetry time-series (docs/observability.md).
+"""Telemetry time-series on a simulated-time grid (docs/observability.md).
 
 The tracer and BENCH records answer *what happened over the whole
-run*; this module answers *what was happening at each committed
-quantum boundary*.  A :class:`MetricsSampler` attaches to the SystemC
-kernel as a trace sink (``Kernel.add_trace``), so it is sampled at
-every timestep — after the scheduler hooks have run, which is exactly
-where the parallel dispatcher has already committed its quantum — and
-appends one :class:`MetricsPoint` to a bounded sim-time-indexed ring
-whenever the co-simulation made *sync progress* since the last point.
+run*; this module answers *what was happening as simulated time went
+by*.  A :class:`MetricsSampler` attaches to the SystemC kernel as a
+trace sink (``Kernel.add_trace``), so it is offered every timestep —
+after the scheduler hooks have run, which is exactly where the
+parallel dispatcher has already committed its quantum — and appends
+one :class:`MetricsPoint` to a bounded sim-time-indexed ring at the
+first timestep at or after each boundary of a fixed
+:data:`GRID_PERIOD` grid, whenever the co-simulation made *sync
+progress* since the last point.  So the series has the same density,
+at most one point per grid period, for every scheme and sync quantum.
 
 Determinism contract: a point carries only counters derived from
 simulation state (:class:`~repro.cosim.metrics.CosimMetrics` totals,
 the per-CPU tier counters, the DMI warp counters, the tracer's drop
-count), and the sampling gate is itself a function of those counters —
-so two runs of the same seeded scenario, serial or parallel, thread or
-process backend, produce byte-identical series
+count), and the sampling gate is itself a function of simulated time
+and those counters — so two runs of the same seeded scenario, serial
+or parallel, thread or process backend, produce byte-identical series
 (``tests/obs/test_telemetry_identity.py`` asserts this across
 scheme x quantum x tier).  Checkpoints serialize the series through
 :meth:`MetricsSeries.state` and replay regenerates it identically.
@@ -27,10 +30,24 @@ series doubles as a scrape surface.
 from collections import deque
 from operator import getitem
 
-#: Default ring capacity: at one point per committed quantum this
-#: covers hours of the pinned scenarios; eviction is counted, never
-#: silent.
+#: The telemetry grid period, in femtoseconds (10 us): a point is due
+#: at the first timestep at or after each multiple of it.
+GRID_PERIOD = 10_000_000_000
+
+#: Default ring capacity: at most one point per grid period, so it
+#: holds the last 40 ms of simulated time (a 10 ms ``table1`` cell
+#: records 1 000 points); eviction is counted, never silent.
 DEFAULT_SERIES_CAPACITY = 4096
+
+
+def grid_periods(first_now, last_now):
+    """The grid periods a window from *first_now* to *last_now* spans.
+
+    Counted from the period holding *first_now* to *last_now*'s, and
+    at least 1: the span a windowed rate divides by.
+    """
+    return max(1, last_now // GRID_PERIOD - first_now // GRID_PERIOD)
+
 
 #: Counters folded directly from the CPUs at sample time (the shared
 #: metrics fields for these lag until ``fold_cpu_counters`` runs).
@@ -145,20 +162,21 @@ class MetricsSeries:
         return list(points)[-count:]
 
     def rates(self, window):
-        """Per-point counter deltas over the newest *window* points.
+        """Per-grid-period counter deltas over the newest *window* points.
 
-        Returns ``{counter: (last - first) / (points - 1)}`` — e.g.
-        retransmits per committed quantum — or ``{}`` when fewer than
-        two points exist.  The windowed health rules
-        (:func:`repro.obs.health.analyze_series`) evaluate these.
+        Returns ``{counter: (last - first) / periods}`` — e.g.
+        retransmits per 10 us of simulated time, with *periods* the
+        :func:`grid_periods` between the first and last point — or
+        ``{}`` when fewer than two points exist.  The windowed health
+        rules (:func:`repro.obs.health.analyze_series`) evaluate these.
         """
         points = self.window(window)
         if len(points) < 2:
             return {}
-        span = len(points) - 1
-        first, last = points[0].values, points[-1].values
-        return {name: (last[position] - first[position]) / span
-                for position, name in enumerate(self.counters)}
+        first, last = points[0], points[-1]
+        span = grid_periods(first.now, last.now)
+        return {name: (last.values[position] - first.values[position])
+                / span for position, name in enumerate(self.counters)}
 
     def latest_sample(self):
         """The newest point as a flat ``{name: value}`` mapping.
@@ -212,21 +230,25 @@ class MetricsSeries:
 class MetricsSampler:
     """The kernel trace sink feeding a :class:`MetricsSeries`.
 
-    Sampled by ``Kernel._advance_time`` after every hook has run, so a
-    parallel run's quantum commit is always complete when the sample
-    is taken.  A Driver-Kernel run at lock-step also samples it from
-    its run-ahead loop (``DriverKernelScheme._run_ahead``), at the same
-    point of each timestep it runs ahead over: after that timestep's
-    grants, with ``kernel.now`` and ``kernel.timestep_count`` set.  A point is recorded only when the *sync progress*
-    composite — quantum syncs, sync transactions, grants and
-    Driver-Kernel messages — moved since the last point: idle
-    timesteps (and the local scheme, which has none of this traffic)
-    produce no points, which keeps the series per-quantum rather than
-    per-timestep and its cost off the no-progress fast path.
+    Offered every timestep by ``Kernel._advance_time`` after every hook
+    has run, so a parallel run's quantum commit is always complete when
+    the sample is taken.  The quiet-timestep skips offer it the
+    timesteps they cover at the same point of each
+    (:meth:`~repro.sysc.hooks.KernelHook.skip_steps`), with
+    ``kernel.now`` and ``kernel.timestep_count`` set.
 
-    At lock-step every timestep syncs, so every timestep is a point:
-    the sample itself is on the Table 1 hot path.  Its counter layout
-    is therefore resolved once, at construction (see
+    A point is due at the first timestep at or after each boundary of
+    the :data:`GRID_PERIOD` grid (:attr:`due`); an offer before that
+    costs one compare.  At a due timestep a point is recorded only when
+    the *sync progress* composite — quantum syncs, sync transactions,
+    grants and Driver-Kernel messages — moved since the last point:
+    idle stretches (and the local scheme, which has none of this
+    traffic) produce no points.  So a lock-step run, where every
+    timestep syncs, records one point per grid period, not one per
+    timestep.  :meth:`close_run` records a run's closing point, so
+    the series always ends on the run's final counters.
+
+    The counter layout is resolved once, at construction (see
     :meth:`_resolve_layout`), and a point costs one C-level pass over
     the counters and one tuple, with no per-sample dicts or attribute
     lookups.
@@ -236,9 +258,13 @@ class MetricsSampler:
         self.system = system
         self.metrics = system.metrics
         self.series = MetricsSeries(capacity=capacity)
+        #: The next grid boundary: an offer before it records nothing.
+        #: The kernel's skips read it to sample a due timestep in place.
+        #: A point sums the grid period before it, so the first is due
+        #: one period in, never at t=0.
+        self.due = GRID_PERIOD
         # Starts at the no-progress composite so a run's first point
-        # lands at the first timestep that actually synced, never at
-        # t=0 with all-zero counters.
+        # lands at the first due timestep after one actually synced.
         self._last_progress = 0
         self._bus = None
         self._resolve_layout(self.series.counters)
@@ -248,20 +274,34 @@ class MetricsSampler:
         self._bus = bus
         return bus
 
-    def settled(self):
-        """True when a sample taken now would record no point.
-
-        A trace sink with this method is progress-gated: the kernel may
-        fast-forward quiet timesteps past it while it holds.
-        """
-        metrics = self.metrics
-        # The composite sample() computes, inlined there.
-        return (metrics.quantum_syncs + metrics.sync_transactions
-                + metrics.grants + metrics.messages_sent
-                + metrics.messages_received) == self._last_progress
-
     def sample(self, kernel):
-        """Record one point if sync progress was made; returns it."""
+        """Record a point at a due timestep if sync progress was made.
+
+        Returns the point, or None.
+        """
+        now = kernel.now
+        if now < self.due:
+            return None
+        self.due = now - now % GRID_PERIOD + GRID_PERIOD
+        return self._record(kernel)
+
+    def close_run(self, kernel):
+        """Record a kernel run's closing point if sync progress is pending.
+
+        Returns the point, or None.  Budgets flushed at the end of a
+        run sync after its last timestep, and progress since the last
+        grid point would otherwise wait for the next run's first due
+        timestep.  Off the grid, the closing point takes the place of
+        a point already recorded in its grid period, so no period
+        holds two.
+        """
+        if kernel.now >= self.due:
+            return self.sample(kernel)
+        return self._record(kernel, replace=True)
+
+    def _record(self, kernel, replace=False):
+        """Append one point unless the progress composite stood still;
+        with *replace*, in place of a newest point of the same period."""
         metrics = self.metrics
         progress = (metrics.quantum_syncs + metrics.sync_transactions
                     + metrics.grants + metrics.messages_sent
@@ -274,17 +314,15 @@ class MetricsSampler:
         # a tuple grown from an iterator keeps the larger block it grew
         # into, and the ring holds thousands of them.
         values = tuple(list(map(getitem, self._sources, self._names)))
-        # MetricsSeries.append, inlined: at lock-step this runs every
-        # timestep.
         series = self.series
-        points = series._points
-        if len(points) == points.maxlen:
-            series.evicted += 1
-        point = MetricsPoint(kernel.now, kernel.timestep_count, values)
-        points.append(point)
+        latest = series.latest()
+        if (replace and latest is not None
+                and latest.now // GRID_PERIOD == kernel.now // GRID_PERIOD):
+            series._points.pop()
+        point = series.append(kernel.now, kernel.timestep_count, values)
         bus = self._bus
         if bus is not None:
-            payload = dict(zip(self.series.counters, point.values))
+            payload = dict(zip(series.counters, point.values))
             payload["sim_now_fs"] = point.now
             payload["timestep"] = point.timestep
             bus.publish("metrics", payload)

@@ -4,28 +4,32 @@ End-of-run artifacts (trace dumps, BENCH records, health reports)
 cannot show a retransmit storm *while it happens*.  A
 :class:`StreamBus` publishes the observability stack's events to
 subscribers as the simulation runs: ``trace`` events from a tracer
-tap, per-quantum ``metrics`` points from the telemetry sampler
+tap, grid ``metrics`` points from the telemetry sampler
 (:mod:`repro.obs.metrics`), ``span``/``health`` payloads from whoever
 computes them, each as a plain JSON-ready dict.  Two sinks ship now —
 :class:`NdjsonSink` (one canonical JSON line per event, the CI
 artifact format) and :class:`CallbackSink` (collect in memory).
 
 Publication order is simulation order — taps fire at main-thread
-emission and the sampler at committed quantum boundaries — so a
-stream captured from a seeded run is byte-stable, serial or parallel
-(pool workers never publish: their trace emissions are buffered and
+emission and the sampler at committed timesteps — so a stream
+captured from a seeded run is byte-stable, serial or parallel (pool
+workers never publish: their trace emissions are buffered and
 replayed at the commit point before the sampler runs).
 
 :class:`StreamHealthMonitor` upgrades the health analysis from run
 totals to windowed *rates*: subscribed to the ``metrics`` topic, it
-watches counter deltas per committed quantum and publishes a
-``health`` event the moment e.g. retransmits/quantum crosses the
+watches counter deltas per 10 us grid period and publishes a
+``health`` event the moment e.g. retransmits per period cross the
 threshold — the live counterpart of
-:func:`repro.obs.health.analyze_series`.
+:func:`repro.obs.health.analyze_series`, with the same rules
+(:func:`repro.obs.health.rate_findings`).
 """
 
 import json
 from collections import deque
+
+from repro.obs.health import HealthThresholds, rate_findings
+from repro.obs.metrics import GRID_PERIOD, grid_periods
 
 
 class StreamBus:
@@ -127,16 +131,16 @@ class NdjsonSink:
 class StreamHealthMonitor:
     """Publishes windowed-rate health findings while the run executes.
 
-    Keeps the newest ``rate_window`` metrics points and, on each new
-    point, evaluates per-quantum counter rates against the
-    :class:`~repro.obs.health.HealthThresholds` rate rules.  Each rule
+    Keeps the newest ``rate_window`` metrics points (a run's closing
+    point takes the place of its grid period's point, as in the
+    series) and, on each new point, applies
+    :func:`~repro.obs.health.rate_findings` to the window.  Each rule
     fires at most once per run (the first crossing is the interesting
     moment; the end-of-run :func:`~repro.obs.health.analyze_series`
     pass reports final rates).
     """
 
     def __init__(self, bus, thresholds=None, window=None):
-        from repro.obs.health import HealthThresholds
         self.bus = bus
         self.thresholds = thresholds if thresholds is not None \
             else HealthThresholds()
@@ -146,35 +150,26 @@ class StreamHealthMonitor:
         self.fired = set()
         bus.subscribe("metrics", self._on_point)
 
-    def _rules(self):
-        thresholds = self.thresholds
-        return (("retransmit-rate", "retransmits",
-                 thresholds.retransmit_rate),
-                ("dmi-invalidation-rate", "dmi_invalidations",
-                 thresholds.dmi_invalidation_rate))
-
     def _on_point(self, topic, payload):
-        self._points.append(payload)
-        if len(self._points) < 2:
+        points = self._points
+        now = payload["sim_now_fs"]
+        if points and points[-1]["sim_now_fs"] // GRID_PERIOD \
+                == now // GRID_PERIOD:
+            points[-1] = payload
+        else:
+            points.append(payload)
+        if len(points) < 2:
             return
-        first, last = self._points[0], self._points[-1]
-        span = len(self._points) - 1
-        for rule, counter, limit in self._rules():
-            if rule in self.fired:
+        first = points[0]
+        for finding in rate_findings(
+                first, payload, grid_periods(first["sim_now_fs"], now),
+                self.thresholds):
+            if finding.rule in self.fired:
                 continue
-            rate = (last.get(counter, 0) - first.get(counter, 0)) / span
-            if rate >= limit:
-                self.fired.add(rule)
-                self.bus.publish("health", {
-                    "severity": "critical",
-                    "rule": rule,
-                    "subject": counter,
-                    "message": "%.2f %s/quantum over the last %d "
-                               "point(s) (threshold %g)"
-                               % (rate, counter, span, limit),
-                    "sim_now_fs": last.get("sim_now_fs", 0),
-                    "timestep": last.get("timestep", 0),
-                })
+            self.fired.add(finding.rule)
+            self.bus.publish("health", dict(
+                finding.as_dict(), sim_now_fs=now,
+                timestep=payload["timestep"]))
 
 
 def attach_stream(system, bus=None, monitor=False, thresholds=None):

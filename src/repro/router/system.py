@@ -146,10 +146,10 @@ class RouterConfig:
     # Observability (docs/observability.md): an obs.Tracer attached to
     # the kernel before the scheme is wired, so every layer shares it.
     tracer: Optional[object] = None
-    # Per-quantum telemetry time-series (docs/observability.md): a
-    # MetricsSampler attached as a kernel trace sink records one
-    # deterministic counter point per committed quantum.  Cheap (one
-    # progress check per timestep, a point only on sync progress) and
+    # Telemetry time-series (docs/observability.md): a MetricsSampler
+    # attached as a kernel trace sink records one deterministic counter
+    # point per 10 us grid period with sync progress.  Cheap (one time
+    # compare per timestep, a point at most once per grid period) and
     # byte-identical serial vs parallel; disable to shave the last
     # percent off a hot benchmark loop.
     telemetry: bool = True
@@ -257,7 +257,7 @@ class RouterSystem:
             for index in range(config.num_ports)
         ]
         self._wire_scheme()
-        # Per-quantum telemetry sampler (repro.obs.metrics).  The local
+        # Grid telemetry sampler (repro.obs.metrics).  The local
         # scheme has no sync traffic to sample, so it stays None there.
         self.telemetry = None
         if config.telemetry and self.scheme is not None:
@@ -430,11 +430,10 @@ class RouterSystem:
             # so a run boundary never strands guest execution.
             self.scheme.flush_pending()
         if self.telemetry is not None:
-            # Flushed budgets happen after the last timestep's sample;
-            # the progress gate makes this final sample a no-op unless
-            # the flush actually synced, so run slicing stays
-            # deterministic.
-            self.telemetry.sample(self.kernel)
+            # The closing point: progress since the last grid point,
+            # flushed budgets included, so the series ends on this
+            # run's final counters.
+            self.telemetry.close_run(self.kernel)
         return result
 
     def close(self):

@@ -8,6 +8,18 @@ extend the scheduler without the user's SystemC code being aware of them
 by the user".
 """
 
+import math
+
+
+def sinks_due(sinks):
+    """The earliest ``due`` time of the grid-gated trace *sinks*.
+
+    A grid-gated sink (:class:`repro.obs.metrics.MetricsSampler`)
+    records nothing when sampled before simulated time reaches its
+    ``due``; ``math.inf`` when there are no sinks.
+    """
+    return min((sink.due for sink in sinks), default=math.inf)
+
 
 class KernelHook:
     """Base class for scheduler extensions.
@@ -29,8 +41,8 @@ class KernelHook:
     skips_quiet = False
     #: Does :meth:`skip_steps` run the time hook of each timestep it
     #: covers, sampling the trace sinks after it, and stop at the first
-    #: that leaves work for its cycle begin?  Such a hook skips alone,
-    #: and the sinks need not be settled.  Read once per run.
+    #: that leaves work for its cycle begin?  Such a hook skips alone.
+    #: Read once per run.
     runs_ahead = False
 
     def on_cycle_begin(self, kernel):
@@ -62,19 +74,24 @@ class KernelHook:
         """Account for quiet timesteps at *times*; ``(steps, entered)``.
 
         *times* are ascending, in femtoseconds: a list when every
-        hook's room is finite, else a lazy iterable.  A hook that only
-        accounts covers them all, each as the three callbacks would
-        have, and returns ``(len(times), False)``.
+        hook's room is finite, else a lazy iterable.  *sinks* are the
+        kernel's trace sinks, each grid-gated (:func:`sinks_due`).  A
+        covered timestep at or past a sink's ``due`` samples it in
+        place, as a materialised one would: ``kernel.now`` and
+        ``kernel.timestep_count`` set to that timestep, after its time
+        hook and before its cycle begin.
+
+        A hook that only accounts covers them all, each as the three
+        callbacks would have, and returns ``(len(times), False)``.
 
         A hook that :attr:`runs_ahead` runs each timestep's time hook
         itself: it sets ``kernel.now`` and ``kernel.timestep_count`` as
-        the kernel would, then calls each of the kernel's bound trace
-        *sinks* with the kernel.  When that left nothing for the
-        timestep's cycle begin, it accounts the rest of the timestep
-        (its callbacks at cycle begin and end) and goes on.  Otherwise
-        it stops and returns ``(steps, True)``: *steps* timesteps were
-        covered, and the next one was *entered* — its time hook and
-        sinks have run, and the kernel materialises it from its cycle
-        begin on.
+        the kernel would, then samples the due *sinks*.  When that left
+        nothing for the timestep's cycle begin, it accounts the rest of
+        the timestep (its callbacks at cycle begin and end) and goes
+        on.  Otherwise it stops and returns ``(steps, True)``: *steps*
+        timesteps were covered, and the next one was *entered* — its
+        time hook and sinks have run, and the kernel materialises it
+        from its cycle begin on.
         """
         raise NotImplementedError

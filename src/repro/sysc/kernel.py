@@ -18,10 +18,12 @@ A timestep whose only due entry is a clock edge nobody waits on is
 *quiet*: when every hook can account for it without running it
 (:meth:`~repro.sysc.hooks.KernelHook.quiet_steps`), the kernel
 fast-forwards a run of them arithmetically (:meth:`Kernel._fast_forward`)
-instead of popping, evaluating and notifying edge by edge.  A hook that
-runs ahead runs each such timestep's time hook and sinks itself and
-hands back the first one that leaves work for its delta cycle, which
-the kernel then enters.  See ``docs/performance.md`` §3.
+instead of popping, evaluating and notifying edge by edge.  Trace
+sinks must be grid-gated (:func:`~repro.sysc.hooks.sinks_due`): a
+skipped timestep at or past a sink's ``due`` samples it in place.  A
+hook that runs ahead runs each such timestep's time hook and sinks
+itself and hands back the first one that leaves work for its delta
+cycle, which the kernel then enters.  See ``docs/performance.md`` §3.
 """
 
 import itertools
@@ -70,23 +72,20 @@ def _skip_hooks(hooks, sinks, max_deltas):
     """The hooks that fast-forward quiet timesteps this run, or None.
 
     Every hook must skip quiet timesteps and every trace sink must be
-    progress-gated: its ``settled()`` says when a sample would record
-    nothing (:meth:`repro.obs.metrics.MetricsSampler.settled`).  A hook
-    that runs ahead skips alone: another hook could not follow its
-    early stop.  A delta budget counts every timestep's delta, so it
-    keeps them all.
+    grid-gated: its ``due`` says from when a sample may record
+    something (:attr:`repro.obs.metrics.MetricsSampler.due`), so a skip
+    samples it only at due timesteps.  A hook that runs ahead skips
+    alone: another hook could not follow its early stop.  A delta
+    budget counts every timestep's delta, so it keeps them all.
     """
     if (not hooks or max_deltas is not None
             or not all(getattr(hook, "skips_quiet", False) for hook in hooks)
-            or not all(hasattr(sink, "settled") for sink in sinks)):
+            or not all(hasattr(sink, "due") for sink in sinks)):
         return None
-    if len(hooks) > 1 and any(_runs_ahead(hook) for hook in hooks):
+    if len(hooks) > 1 and any(getattr(hook, "runs_ahead", False)
+                              for hook in hooks):
         return None
     return list(hooks)
-
-
-def _runs_ahead(hook):
-    return getattr(hook, "runs_ahead", False)
 
 
 class Kernel:
@@ -391,16 +390,16 @@ class Kernel:
         for sample in sinks:
             sample(self)
 
-    def _fast_forward(self, hooks, sinks, settled, end_time):
+    def _fast_forward(self, hooks, sinks, end_time):
         """Skip the quiet clock edges at the top of the heap.
 
         Returns None when nothing was skipped, else whether the last
         timestep was entered.  The top entry is a clock edge.  It is
         quiet when no process waits on the clock, no delta work is
-        queued, every progress-gated sink would record nothing
-        (*settled*, None for a hook that samples them itself) and every
-        hook has room; at most the hooks' room is offered, all strictly
-        before the next other live entry and not past *end_time*.
+        queued and every hook has room; at most the hooks' room is
+        offered, all strictly before the next other live entry and not
+        past *end_time*.  The hooks sample the grid-gated trace *sinks*
+        at the due timesteps they cover.
 
         Each covered edge leaves exactly what a materialised timestep
         would have: time, timestep and delta counts (one delta each),
@@ -426,10 +425,6 @@ class Kernel:
                 limit = room
         if limit <= 0:
             return None
-        if settled is not None:
-            for check in settled:
-                if not check():
-                    return None
         heappop(timed)
         while timed and not timed[0][3]:
             heappop(timed)
@@ -512,9 +507,7 @@ class Kernel:
         sinks = [sink.sample for sink in self.trace_sinks]
         # The quiet-timestep fast-forward is bound once per run too.
         skip_hooks = _skip_hooks(self.hooks, self.trace_sinks, max_deltas)
-        settled = None
-        if skip_hooks is not None and not _runs_ahead(skip_hooks[0]):
-            settled = [sink.settled for sink in self.trace_sinks]
+        gated = list(self.trace_sinks)
         tracer = self.tracer
         runnable = self._runnable
         timed = self._timed
@@ -551,8 +544,7 @@ class Kernel:
                 break
             if (skip_hooks is not None and not tracer.enabled
                     and timed[0][2].__class__ is _EdgeProcess):
-                entered = self._fast_forward(skip_hooks, sinks, settled,
-                                             end_time)
+                entered = self._fast_forward(skip_hooks, gated, end_time)
                 if entered:
                     # Its delta cycle is next.
                     continue

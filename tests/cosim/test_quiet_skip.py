@@ -259,8 +259,8 @@ class Runner(KernelHook):
             kernel.now = now
             kernel.timestep_count += 1
             self.on_time_advance(kernel)
-            for sample in sinks:
-                sample(kernel)
+            for sink in sinks:
+                sink.sample(kernel)
             if self.pending:
                 return steps, True
             self.polls += 1
@@ -270,13 +270,13 @@ class Runner(KernelHook):
 
 
 class Sampler:
-    """A progress-gated trace sink that logs every sample."""
+    """A grid-gated trace sink, due at every timestep, that logs every
+    sample."""
+
+    due = 0
 
     def __init__(self):
         self.samples = []
-
-    def settled(self):
-        return True
 
     def sample(self, kernel):
         self.samples.append((kernel.now, kernel.timestep_count))
@@ -369,14 +369,18 @@ def _observe(system):
 
 @pytest.fixture
 def skip_counter(monkeypatch):
-    """Counts the timesteps ContextScheme.skip_steps covers and enters."""
-    counts = {"steps": 0, "entered": 0, "held": 0}
+    """Counts the timesteps ContextScheme.skip_steps covers and enters,
+    and the telemetry points it records in place."""
+    counts = {"steps": 0, "entered": 0, "held": 0, "sampled": 0}
     skip_steps = ContextScheme.skip_steps
 
     def counting(self, kernel, times, sinks):
+        before = sum(len(sink.series) for sink in sinks)
         steps, entered = skip_steps(self, kernel, times, sinks)
         counts["steps"] += steps
         counts["entered"] += entered
+        counts["sampled"] += (sum(len(sink.series) for sink in sinks)
+                              - before)
         counts["held"] += sum(
             1 for context in self.contexts
             if not context.quarantined
@@ -435,6 +439,8 @@ def test_skip_equals_materialised(monkeypatch, skip_counter, workload,
                                   scheme, seed):
     skipped, materialised = _run_both(monkeypatch, workload, scheme, seed)
     assert skip_counter["steps"] > 0
+    # Grid boundaries fall inside skipped runs: sampled in place.
+    assert skip_counter["sampled"] > 0
     if scheme == "gdb-kernel":
         # Idle GDB-Kernel CPUs sit held on an iss_out port without
         # fresh data; each poll drives the hold, and the skip accounts
@@ -535,6 +541,7 @@ def test_run_ahead_equals_materialised(monkeypatch, skip_counter, seed):
     ahead, materialised = _run_both(monkeypatch, "table1", "driver-kernel",
                                     seed)
     assert skip_counter["steps"] > 0 and skip_counter["entered"] > 0
+    assert skip_counter["sampled"] > 0
     assert ahead == materialised
 
 
@@ -640,7 +647,8 @@ def test_lockstep_runs_that_materialise(skip_counter, variant):
             system.run(200 * US)
     finally:
         system.close()
-    assert skip_counter == {"steps": 0, "entered": 0, "held": 0}
+    assert skip_counter == {"steps": 0, "entered": 0, "held": 0,
+                            "sampled": 0}
     assert system.kernel.timestep_count == 400
 
 

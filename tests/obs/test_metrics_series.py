@@ -1,19 +1,24 @@
-"""The per-quantum telemetry time-series (repro.obs.metrics).
+"""The telemetry time-series on its simulated-time grid (repro.obs.metrics).
 
 Unit coverage of the ring, rates, canonical dumps and the Prometheus
 exposition, plus integration against real runs: the sampler records
-per-quantum points with monotone sim-time and cumulative counters,
-batching quanta thins the series, disabling telemetry removes the
-sink, checkpoints carry the series, and the windowed health rules
-(:func:`repro.obs.health.analyze_series`) fire on the rates.
+points with monotone sim-time and cumulative counters, at most one per
+grid period for every scheme and sync quantum, disabling telemetry
+removes the sink, checkpoints carry the series, and the windowed health
+rules (:func:`repro.obs.health.analyze_series`) fire on the rates.
 """
 
+import dataclasses
 import json
 
+import pytest
+
 from repro.obs.health import HealthThresholds, analyze_series
-from repro.obs.metrics import (MetricsSeries, prometheus_text,
+from repro.obs.metrics import (GRID_PERIOD, MetricsSeries, prometheus_text,
                                sampled_counters)
-from repro.obs.scenarios import run_traced_scenario
+from repro.obs.scenarios import COSIM_SCHEMES, run_traced_scenario
+from repro.router.system import RouterConfig, RouterSystem
+from repro.sysc.simtime import MS, US
 
 # ---------------------------------------------------------------------------
 # MetricsSeries units
@@ -49,15 +54,19 @@ def test_series_eviction_is_counted():
     assert series.latest_sample()["points_evicted"] == 1
 
 
-def test_series_rates_are_per_point_deltas():
+def test_series_rates_are_per_grid_period():
     series = _series()
     assert series.rates(4) == {}
-    series.append(10, 1, (0, 100))
+    series.append(GRID_PERIOD, 20, (0, 100))
     assert series.rates(4) == {}
-    series.append(20, 2, (4, 100))
-    series.append(30, 3, (8, 106))
+    series.append(2 * GRID_PERIOD, 40, (4, 100))
+    series.append(3 * GRID_PERIOD + 5, 61, (8, 106))
     assert series.rates(3) == {"a": 4.0, "b": 3.0}
     assert series.rates(2) == {"a": 4.0, "b": 6.0}
+    # A period without sync progress has no point; the rate still
+    # divides by the periods covered.
+    series.append(5 * GRID_PERIOD, 100, (12, 106))
+    assert series.rates(2) == {"a": 2.0, "b": 0.0}
 
 
 def test_series_dump_is_canonical_and_round_trips():
@@ -129,14 +138,57 @@ def test_sampler_records_monotone_per_quantum_points():
     run.system.close()
 
 
-def test_quantum_batching_thins_the_series():
-    lockstep = run_traced_scenario("gdb-wrapper", sim_us=60)
-    batched = run_traced_scenario("gdb-wrapper", sim_us=60,
-                                  sync_quantum=8)
-    assert len(batched.system.telemetry.series) \
-        < len(lockstep.system.telemetry.series)
-    lockstep.system.close()
-    batched.system.close()
+#: The wall benchmark's ``table1`` cell config: lock-step, block tier,
+#: serial, telemetry on.
+TABLE1 = dict(seed=42, inter_packet_delay=30 * US, sync_quantum=1,
+              dmi=False, tier="blocks", parallel=None)
+
+
+def _grid_periods(config):
+    """The grid period of every point of a 10 ms run, and the series."""
+    system = RouterSystem(config)
+    try:
+        system.run(10 * MS)
+    finally:
+        system.close()
+    series = system.telemetry.series
+    return [point.now // GRID_PERIOD for point in series.points()], series
+
+
+@pytest.mark.parametrize("scheme", COSIM_SCHEMES)
+def test_grid_density_on_table1(scheme):
+    config = RouterConfig(scheme=scheme, **TABLE1)
+    periods, series = _grid_periods(config)
+    # One point per 10 us boundary after t=0 at most, all in the ring.
+    assert 0 < len(periods) <= 1_001
+    assert series.evicted == 0
+    assert len(set(periods)) == len(periods)
+    # The grid is simulated time: batching quanta does not move it.
+    batched, __ = _grid_periods(dataclasses.replace(config,
+                                                    sync_quantum=8))
+    assert batched == periods
+
+
+@pytest.mark.parametrize("quantum", [1, 8])
+def test_closing_point_takes_its_grid_period_s_place(quantum):
+    system = RouterSystem(RouterConfig(
+        scheme="gdb-kernel", **dict(TABLE1, sync_quantum=quantum)))
+    series = system.telemetry.series
+    try:
+        system.run(25 * US)
+        # Grid points at 10 and 20 us; the run's closing point at 25 us
+        # replaces the second, so it ends on the run's final counters.
+        assert [point.now for point in series.points()] \
+            == [10 * US, 25 * US]
+        assert series.latest_sample()["sim_now_fs"] == system.kernel.now
+        assert series.value("sc_timesteps") \
+            == system.metrics.sc_timesteps
+        # The next run picks the grid up at its next boundary.
+        system.run(15 * US)
+        assert [point.now for point in series.points()] \
+            == [10 * US, 25 * US, 30 * US, 40 * US]
+    finally:
+        system.close()
 
 
 def test_telemetry_config_flag_disables_the_sampler():
@@ -162,9 +214,10 @@ def test_checkpoint_state_carries_the_series():
 
 
 def _rate_series(counters, rows):
+    """One point per grid boundary, as the sampler records them."""
     series = MetricsSeries(counters=counters, capacity=64)
     for index, row in enumerate(rows):
-        series.append(10 * (index + 1), index + 1, row)
+        series.append(GRID_PERIOD * (index + 1), index + 1, row)
     return series
 
 

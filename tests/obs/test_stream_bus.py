@@ -11,6 +11,7 @@ import io
 import json
 
 from repro.obs.health import HealthReport, HealthThresholds
+from repro.obs.metrics import GRID_PERIOD
 from repro.obs.stream_bus import (CallbackSink, NdjsonSink, StreamBus,
                                   StreamHealthMonitor, attach_stream,
                                   publish_report)
@@ -67,9 +68,16 @@ def test_ndjson_sink_owns_a_path(tmp_path):
     assert json.loads(path.read_text())["event"] == {"seq": 1}
 
 
-def _metrics_point(index, retransmits=0, dmi=0):
-    return {"retransmits": retransmits, "dmi_invalidations": dmi,
-            "sim_now_fs": 10 * index, "timestep": index}
+def _metrics_point(index, retransmits=0, dmi=0, iss_cycles=None,
+                   sc_timesteps=None):
+    """The sampler's point at the *index*-th grid boundary."""
+    point = {"retransmits": retransmits, "dmi_invalidations": dmi,
+             "iss_cycles": 100 * index if iss_cycles is None
+             else iss_cycles,
+             "sc_timesteps": 20 * index if sc_timesteps is None
+             else sc_timesteps,
+             "sim_now_fs": GRID_PERIOD * index, "timestep": 20 * index}
+    return point
 
 
 def test_monitor_fires_once_on_a_retransmit_storm():
@@ -85,8 +93,9 @@ def test_monitor_fires_once_on_a_retransmit_storm():
     assert payload["severity"] == "critical"
     assert payload["rule"] == "retransmit-rate"
     # Fired at the first crossing: the second point already shows 3
-    # retransmits/quantum.
-    assert payload["timestep"] == 1
+    # retransmits per grid period.
+    assert payload["timestep"] == 20
+    assert payload["sim_now_fs"] == GRID_PERIOD
     assert monitor.fired == {"retransmit-rate"}
 
 
@@ -110,6 +119,56 @@ def test_monitor_dmi_invalidation_rule():
         bus.publish("metrics", _metrics_point(index, dmi=2 * index))
     assert [payload["rule"] for __, payload in health.events] \
         == ["dmi-invalidation-rate"]
+
+
+def test_monitor_flags_live_stalled_execution():
+    bus = StreamBus()
+    health = CallbackSink()
+    bus.subscribe("health", health)
+    StreamHealthMonitor(bus, thresholds=HealthThresholds())
+    for index in range(4):
+        bus.publish("metrics", _metrics_point(index))
+    assert health.events == []
+    # After the third boundary no ISS cycle retires while SystemC keeps
+    # advancing: once the 8-point window starts at that boundary, the
+    # stall is live, and it is reported once.
+    for index in range(4, 16):
+        bus.publish("metrics", _metrics_point(index, iss_cycles=300))
+    assert [(payload["severity"], payload["rule"], payload["timestep"])
+            for __, payload in health.events] \
+        == [("warning", "no-execution-progress", 20 * 10)]
+
+
+def test_monitor_rates_are_per_grid_period():
+    # Points three periods apart: 3 retransmits per point is one per
+    # period, under the default bar of 2.
+    bus = StreamBus()
+    health = CallbackSink()
+    bus.subscribe("health", health)
+    StreamHealthMonitor(bus, thresholds=HealthThresholds())
+    for index in range(8):
+        bus.publish("metrics", _metrics_point(3 * index,
+                                              retransmits=3 * index))
+    assert health.events == []
+
+
+def test_monitor_closing_point_takes_its_period_s_place():
+    # A run's closing point lands in the grid period of the last point
+    # and replaces it, as in the series: the window keeps one point
+    # per period, so a burst just before the close is one period's.
+    bus = StreamBus()
+    health = CallbackSink()
+    bus.subscribe("health", health)
+    monitor = StreamHealthMonitor(bus, thresholds=HealthThresholds(),
+                                  window=2)
+    bus.publish("metrics", _metrics_point(0))
+    bus.publish("metrics", _metrics_point(1, retransmits=1))
+    closing = dict(_metrics_point(1, retransmits=3),
+                   sim_now_fs=GRID_PERIOD + 7, timestep=23)
+    bus.publish("metrics", closing)
+    assert list(monitor._points) == [_metrics_point(0), closing]
+    assert [payload["rule"] for __, payload in health.events] \
+        == ["retransmit-rate"]
 
 
 def test_publish_report_fans_findings_out():
