@@ -24,7 +24,7 @@ import pytest
 from repro.iss.assembler import assemble
 from repro.iss.cpu import Cpu
 from repro.iss.loader import load_program
-from repro.obs.scenarios import bench_scenario
+from repro.obs.scenarios import bench_scenario, quickstart_config
 
 # A straight-line ALU body long enough to fill a basic block — the
 # case the closure cache targets (per-block overhead amortises over
@@ -163,8 +163,9 @@ def test_rsp_round_trips_vs_quantum(benchmark, bench_report, summary):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     per_step = {}
     for quantum in (1, 8, 64):
-        __, run = bench_scenario("gdb-wrapper", sync_quantum=quantum,
-                                 name="dispatch_ablation_q%d" % quantum)
+        __, run = bench_scenario(
+            quickstart_config("gdb-wrapper", sync_quantum=quantum),
+            name="dispatch_ablation_q%d" % quantum)
         counters = run.as_dict()["counters"]
         steps = counters["sc_timesteps"]
         rsp = (counters["sync_transactions"]

@@ -118,6 +118,57 @@ def _cmd_loc(args):
     return 0
 
 
+#: The co-simulation schemes a traced scenario run can select.
+_COSIM_SCHEMES = ("gdb-wrapper", "gdb-kernel", "driver-kernel")
+
+
+def _run_command(name):
+    """Decorate a run-building command: a run parameter the config
+    validation (or the checkpoint runner) rejects prints one
+    ``<name>: <message>`` line and exits 2, without a traceback."""
+    def decorate(command):
+        def run(args):
+            from repro.errors import CheckpointError, CosimError
+
+            try:
+                return command(args)
+            except (CosimError, CheckpointError) as error:
+                print("%s: %s" % (name, error))
+                return 2
+        return run
+    return decorate
+
+
+def _add_scenario_flags(parser, scheme, sim_us):
+    """The flags every quickstart-scenario command shares: ``--scheme``
+    (default *scheme*; ``all`` runs each co-simulation scheme),
+    ``--sim-us`` (default *sim_us*), ``--seed`` and ``--quantum``."""
+    choices = (("all",) if scheme == "all" else ()) + _COSIM_SCHEMES
+    parser.add_argument("--scheme", default=scheme, choices=choices)
+    parser.add_argument("--sim-us", type=int, default=sim_us,
+                        help="simulated microseconds")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--quantum", type=int, default=1,
+                        help="sync quantum (batched timesteps per ISS "
+                             "synchronisation)")
+
+
+def _scenario_config(args, scheme, **fields):
+    """The validated quickstart config of *scheme* under the shared
+    flags; *fields* set further :class:`RouterConfig` fields."""
+    from repro.obs.scenarios import quickstart_config
+    from repro.router.system import validate_config
+
+    config = quickstart_config(scheme, seed=args.seed,
+                               sync_quantum=args.quantum, **fields)
+    validate_config(config)
+    return config
+
+
+def _scenario_schemes(scheme):
+    return _COSIM_SCHEMES if scheme == "all" else (scheme,)
+
+
 def _print_recoveries(runner):
     for entry in runner.recovery_log:
         print("recovered %s from %s in slice %d (attempt %d)"
@@ -138,30 +189,22 @@ def _parse_stages(text):
                          "integers, got %r" % text)
 
 
+@_run_command("router")
 def _cmd_router(args):
-    from repro.errors import CosimError
+    from repro.cosim.checkpoint import (CheckpointRunner, RecoveryPolicy,
+                                        restore_checkpoint)
+    from repro.errors import CheckpointError
+    from repro.router.system import (RouterConfig, build_system,
+                                     validate_config)
 
-    try:
-        stages = _parse_stages(args.stages)
-        topology = dict(num_ports=args.ports, stages=stages,
-                        burst=args.burst, dmi=args.dmi)
-        if args.resume_from or args.checkpoint_every:
-            from repro.router.system import RouterConfig, validate_config
-            validate_config(RouterConfig(scheme=args.scheme, **topology))
-        return _run_router(args, topology)
-    except CosimError as error:
-        print("router: %s" % error)
-        return 2
-
-
-def _run_router(args, topology):
-    from repro.router.system import build_system
-
+    config = RouterConfig(scheme=args.scheme,
+                          inter_packet_delay=args.delay_us * US,
+                          num_cpus=args.cpus, num_ports=args.ports,
+                          stages=_parse_stages(args.stages),
+                          burst=args.burst, dmi=args.dmi)
+    validate_config(config)
+    runner = None
     if args.resume_from:
-        from repro.cosim.checkpoint import (RecoveryPolicy,
-                                            restore_checkpoint)
-        from repro.errors import CheckpointError
-
         try:
             runner = restore_checkpoint(args.resume_from,
                                         out_dir=args.checkpoint_dir,
@@ -169,33 +212,24 @@ def _run_router(args, topology):
         except CheckpointError as error:
             print("router: cannot resume: %s" % error)
             return 2
-        stats = runner.run(args.sim_ms * MS)
-        _print_recoveries(runner)
-        runner.close()
-    elif args.checkpoint_every:
-        from repro.cosim.checkpoint import (CheckpointRunner,
-                                            RecoveryPolicy)
-        from repro.router.system import RouterConfig
-
-        config = RouterConfig(scheme=args.scheme,
-                              inter_packet_delay=args.delay_us * US,
-                              num_cpus=args.cpus, **topology)
+        config = runner.base_config
+    elif args.checkpoint_every is not None:
         runner = CheckpointRunner(config,
                                   checkpoint_every=args.checkpoint_every,
                                   out_dir=args.checkpoint_dir,
                                   recovery=RecoveryPolicy())
+    if runner is not None:
         stats = runner.run(args.sim_ms * MS)
         _print_recoveries(runner)
         runner.close()
     else:
-        system = build_system(scheme=args.scheme,
-                              inter_packet_delay=args.delay_us * US,
-                              num_cpus=args.cpus, **topology)
+        system = build_system(config)
         system.run(args.sim_ms * MS)
         stats = system.stats()
         system.close()
     print("scheme=%s cpus=%d delay=%dus sim=%dms" % (
-        args.scheme, args.cpus, args.delay_us, args.sim_ms))
+        config.scheme, config.num_cpus, config.inter_packet_delay // US,
+        args.sim_ms))
     print("generated=%d forwarded=%d (%.1f%%) received=%d corrupt=%d "
           "input_drops=%d" % (stats.generated, stats.forwarded,
                               stats.forwarded_percent, stats.received,
@@ -203,6 +237,7 @@ def _run_router(args, topology):
     return 0 if stats.corrupt == 0 else 1
 
 
+@_run_command("checkpoint save")
 def _cmd_checkpoint_save(args):
     from repro.cosim.checkpoint import (CheckpointRunner,
                                         latest_checkpoint,
@@ -298,22 +333,17 @@ def _cmd_report(args):
     return 0
 
 
-def _trace_schemes(scheme):
-    from repro.obs.scenarios import COSIM_SCHEMES
-
-    return COSIM_SCHEMES if scheme == "all" else (scheme,)
-
-
+@_run_command("trace")
 def _cmd_trace(args):
     from repro.obs.profile import SchemeProfile, compare_profiles
     from repro.obs.scenarios import run_traced_scenario
     from repro.obs.tracer import trace_header
 
+    schemes = _scenario_schemes(args.scheme)
     profiles = []
-    for scheme in _trace_schemes(args.scheme):
-        run = run_traced_scenario(scheme, sim_us=args.sim_us,
-                                  seed=args.seed,
-                                  sync_quantum=args.quantum)
+    for scheme in schemes:
+        run = run_traced_scenario(_scenario_config(args, scheme),
+                                  args.sim_us)
         profiles.append(SchemeProfile.from_run(run.system.metrics,
                                                run.tracer))
         if args.format == "chrome":
@@ -327,7 +357,7 @@ def _cmd_trace(args):
         else:
             text = run.tracer.timeline(limit=args.limit)
         if args.output:
-            path = (args.output if len(_trace_schemes(args.scheme)) == 1
+            path = (args.output if len(schemes) == 1
                     else "%s.%s" % (args.output, scheme))
             with open(path, "w") as handle:
                 handle.write(text)
@@ -339,6 +369,7 @@ def _cmd_trace(args):
     return 0
 
 
+@_run_command("bench")
 def _cmd_bench(args):
     import os
 
@@ -346,30 +377,22 @@ def _cmd_bench(args):
                                  load_report)
     from repro.obs.scenarios import bench_scenario
 
+    # Flags left unset keep RouterConfig's environment-driven defaults.
+    fields = {name: getattr(args, name)
+              for name in ("parallel", "workers", "tier")
+              if getattr(args, name) is not None}
+    if args.parallel == "off":
+        fields["parallel"] = None
+    suffix = ("_q%d" % args.quantum if args.quantum != 1 else "") \
+        + ("_dmi" if args.dmi else "") \
+        + {"superblocks": "_sb", "interp": "_interp"}.get(args.tier, "")
     reporter = BenchReporter(args.out_dir)
     failures = 0
-    parallel = args.parallel
-    if parallel == "off":
-        parallel = False
-    for scheme in _trace_schemes(args.scheme):
-        name = "cli_%s" % scheme
-        if args.quantum != 1:
-            name += "_q%d" % args.quantum
-        if args.dmi:
-            name += "_dmi"
-        overrides = {}
-        if args.tier is not None:
-            overrides["tier"] = args.tier
-            if args.tier == "superblocks":
-                name += "_sb"
-            elif args.tier == "interp":
-                name += "_interp"
-        traced, run = bench_scenario(scheme, sim_us=args.sim_us,
-                                     seed=args.seed, name=name,
-                                     sync_quantum=args.quantum,
-                                     parallel=parallel,
-                                     workers=args.workers,
-                                     dmi=args.dmi, **overrides)
+    for scheme in _scenario_schemes(args.scheme):
+        name = "cli_%s%s" % (scheme, suffix)
+        __, run = bench_scenario(
+            _scenario_config(args, scheme, dmi=args.dmi, **fields),
+            args.sim_us, name=name)
         path = reporter.write(run)
         record = run.as_dict()
         print("wrote %s: wall=%.3fs timesteps=%s events=%s" % (
@@ -394,6 +417,7 @@ def _cmd_bench(args):
     return 0 if reporter.written else 1
 
 
+@_run_command("spans")
 def _cmd_spans(args):
     import json
 
@@ -401,11 +425,10 @@ def _cmd_spans(args):
     from repro.obs.spans import (dump_spans, perfetto_spans,
                                  span_table, spans_from_tracer)
 
-    schemes = _trace_schemes(args.scheme)
+    schemes = _scenario_schemes(args.scheme)
     for scheme in schemes:
-        run = run_traced_scenario(scheme, sim_us=args.sim_us,
-                                  seed=args.seed,
-                                  sync_quantum=args.quantum)
+        run = run_traced_scenario(_scenario_config(args, scheme),
+                                  args.sim_us)
         spans = spans_from_tracer(run.tracer)
         if args.format == "perfetto":
             text = json.dumps(perfetto_spans(spans), sort_keys=True,
@@ -438,6 +461,7 @@ def _emit_health(report, fmt):
     return report.exit_code
 
 
+@_run_command("health")
 def _cmd_health(args):
     import json
     import os
@@ -475,42 +499,34 @@ def _cmd_health(args):
                 log = json.load(handle)
         report = analyze_recovery_log(log)
         return _emit_health(report, args.format)
-    report = HealthReport()
     if args.chaos:
-        run = chaos_health_scenario(args.chaos)
+        runs = [chaos_health_scenario(args.chaos)]
+    else:
+        runs = (run_traced_scenario(_scenario_config(args, scheme),
+                                    args.sim_us)
+                for scheme in _scenario_schemes(args.scheme))
+    report = HealthReport()
+    for run in runs:
         report.extend(analyze_run(run.tracer.events(),
                                   metrics=run.system.metrics,
                                   dropped=run.tracer.dropped))
         run.system.close()
-    else:
-        for scheme in _trace_schemes(args.scheme):
-            run = run_traced_scenario(scheme, sim_us=args.sim_us,
-                                      seed=args.seed,
-                                      sync_quantum=args.quantum)
-            report.extend(analyze_run(run.tracer.events(),
-                                      metrics=run.system.metrics,
-                                      dropped=run.tracer.dropped))
-            run.system.close()
     return _emit_health(report, args.format)
 
 
+@_run_command("metrics")
 def _cmd_metrics(args):
     from repro.obs.metrics import prometheus_text
     from repro.obs.scenarios import run_traced_scenario
 
-    run = run_traced_scenario(args.scheme, sim_us=args.sim_us,
-                              seed=args.seed, sync_quantum=args.quantum)
-    sampler = run.system.telemetry
-    if sampler is None:
-        print("metrics: telemetry is disabled for this configuration")
-        run.system.close()
-        return 2
-    series = sampler.series
+    run = run_traced_scenario(_scenario_config(args, args.scheme),
+                              args.sim_us)
+    run.system.close()
+    series = run.system.telemetry.series
     if args.format == "prom":
         sample = series.latest_sample()
         if sample is None:
             print("metrics: the run recorded no telemetry points")
-            run.system.close()
             return 1
         text = prometheus_text(sample,
                                labels={"scheme": args.scheme,
@@ -520,7 +536,6 @@ def _cmd_metrics(args):
         text = series.dump() + "\n"
     else:
         text = "\n".join(series.to_ndjson_lines()) + "\n"
-    run.system.close()
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -553,44 +568,26 @@ def _render_top(series, scheme, window):
                         rows, title=title)
 
 
+@_run_command("top")
 def _cmd_top(args):
-    from repro.obs.scenarios import run_traced_scenario
     from repro.obs.tracer import Tracer
-    from repro.router.system import RouterConfig, build_system
+    from repro.router.system import build_system
 
-    if args.once:
-        run = run_traced_scenario(args.scheme, sim_us=args.sim_us,
-                                  seed=args.seed,
-                                  sync_quantum=args.quantum)
-        sampler = run.system.telemetry
-        if sampler is None:
-            print("top: telemetry is disabled for this configuration")
-            run.system.close()
-            return 2
-        print(_render_top(sampler.series, args.scheme, args.window))
-        run.system.close()
-        return 0
-    # Live mode: the same pinned scenario, advanced in simulated-time
-    # slices with a redraw between each — refresh cadence is driven by
-    # simulated progress, never wall sleeps, so the view stays
-    # deterministic.
-    config = RouterConfig(scheme=args.scheme, seed=args.seed,
-                          max_packets=2, producer_count=2,
-                          inter_packet_delay=20 * US,
-                          sync_quantum=args.quantum,
-                          tracer=Tracer(capacity=200_000))
-    system = build_system(config)
-    sampler = system.telemetry
-    if sampler is None:
-        print("top: telemetry is disabled for this configuration")
-        system.close()
-        return 2
-    slices = max(1, args.refresh)
-    slice_us = max(1, args.sim_us // slices)
-    for __ in range(slices):
-        system.run(slice_us * US)
-        print("\x1b[2J\x1b[H", end="")
-        print(_render_top(sampler.series, args.scheme, args.window))
+    system = build_system(_scenario_config(
+        args, args.scheme, tracer=Tracer(capacity=200_000)))
+    # --once runs the scenario in one slice and prints its final
+    # snapshot.  Live mode advances the same run in --refresh
+    # simulated-time slices with a redraw between each: the cadence is
+    # driven by simulated progress, never wall sleeps, so the view
+    # stays deterministic.  Slice k ends at k/slices of --sim-us, so
+    # the last frame shows the same time as --once.
+    slices = 1 if args.once else max(1, args.refresh)
+    for index in range(1, slices + 1):
+        system.run(args.sim_us * index // slices * US - system.kernel.now)
+        if not args.once:
+            print("\x1b[2J\x1b[H", end="")
+        print(_render_top(system.telemetry.series, args.scheme,
+                          args.window))
     system.close()
     return 0
 
@@ -668,8 +665,7 @@ def build_parser():
 
     router = commands.add_parser("router", help="one case-study run")
     router.add_argument("--scheme", default="gdb-kernel",
-                        choices=["local", "gdb-wrapper", "gdb-kernel",
-                                 "driver-kernel"])
+                        choices=("local",) + _COSIM_SCHEMES)
     router.add_argument("--delay-us", type=int, default=20)
     router.add_argument("--sim-ms", type=int, default=2)
     router.add_argument("--cpus", type=int, default=1)
@@ -706,8 +702,7 @@ def build_parser():
     ck_save = checkpoint_cmds.add_parser(
         "save", help="run a scenario, writing checkpoints")
     ck_save.add_argument("--scheme", default="gdb-kernel",
-                         choices=["gdb-wrapper", "gdb-kernel",
-                                  "driver-kernel"])
+                         choices=_COSIM_SCHEMES)
     ck_save.add_argument("--sim-us", type=int, default=120,
                          help="simulated microseconds")
     ck_save.add_argument("--quantum", type=int, default=1,
@@ -746,36 +741,20 @@ def build_parser():
 
     trace = commands.add_parser(
         "trace", help="traced quickstart-scale run + scheme profile")
-    trace.add_argument("--scheme", default="all",
-                       choices=["all", "gdb-wrapper", "gdb-kernel",
-                                "driver-kernel"])
-    trace.add_argument("--sim-us", type=int, default=120,
-                       help="simulated microseconds")
-    trace.add_argument("--seed", type=int, default=7)
+    _add_scenario_flags(trace, "all", 120)
     trace.add_argument("--format", default="text",
                        choices=["text", "chrome", "json"],
                        help="text timeline, Chrome trace-event JSON, "
                             "or canonical JSON lines")
     trace.add_argument("--limit", type=int, default=40,
                        help="max timeline rows printed (text format)")
-    trace.add_argument("--quantum", type=int, default=1,
-                       help="sync quantum (batched timesteps per ISS "
-                            "synchronisation)")
     trace.add_argument("-o", "--output", default=None,
                        help="write the trace to a file (per scheme)")
     trace.set_defaults(func=_cmd_trace)
 
     spans = commands.add_parser(
         "spans", help="causal transaction spans from a traced run")
-    spans.add_argument("--scheme", default="all",
-                       choices=["all", "gdb-wrapper", "gdb-kernel",
-                                "driver-kernel"])
-    spans.add_argument("--sim-us", type=int, default=120,
-                       help="simulated microseconds")
-    spans.add_argument("--seed", type=int, default=7)
-    spans.add_argument("--quantum", type=int, default=1,
-                       help="sync quantum (batched timesteps per ISS "
-                            "synchronisation)")
+    _add_scenario_flags(spans, "all", 120)
     spans.add_argument("--format", default="table",
                        choices=["table", "json", "perfetto"],
                        help="plain-text table, canonical JSON lines, or "
@@ -805,14 +784,7 @@ def build_parser():
                              "stall: stalled read + watchdog "
                              "quarantine; thrash: DMI invalidation "
                              "storm)")
-    health.add_argument("--scheme", default="all",
-                        choices=["all", "gdb-wrapper", "gdb-kernel",
-                                 "driver-kernel"])
-    health.add_argument("--sim-us", type=int, default=120,
-                        help="simulated microseconds (live mode)")
-    health.add_argument("--seed", type=int, default=7)
-    health.add_argument("--quantum", type=int, default=1,
-                        help="sync quantum (live mode)")
+    _add_scenario_flags(health, "all", 120)
     health.add_argument("--format", default="text",
                         choices=["text", "json"],
                         help="render the report as text or as the "
@@ -824,15 +796,7 @@ def build_parser():
         "metrics", help="telemetry time-series export, at most one "
                         "point per 10 us grid period "
                         "(docs/observability.md)")
-    metrics.add_argument("--scheme", default="gdb-kernel",
-                         choices=["gdb-wrapper", "gdb-kernel",
-                                  "driver-kernel"])
-    metrics.add_argument("--sim-us", type=int, default=120,
-                         help="simulated microseconds")
-    metrics.add_argument("--seed", type=int, default=7)
-    metrics.add_argument("--quantum", type=int, default=1,
-                         help="sync quantum (batched timesteps per ISS "
-                              "synchronisation)")
+    _add_scenario_flags(metrics, "gdb-kernel", 120)
     metrics.add_argument("--format", default="ndjson",
                          choices=["ndjson", "json", "prom"],
                          help="one canonical JSON object per point, "
@@ -846,15 +810,7 @@ def build_parser():
     top = commands.add_parser(
         "top", help="live top-style telemetry counter view "
                     "(docs/observability.md)")
-    top.add_argument("--scheme", default="gdb-kernel",
-                     choices=["gdb-wrapper", "gdb-kernel",
-                              "driver-kernel"])
-    top.add_argument("--sim-us", type=int, default=240,
-                     help="total simulated microseconds")
-    top.add_argument("--seed", type=int, default=7)
-    top.add_argument("--quantum", type=int, default=1,
-                     help="sync quantum (batched timesteps per ISS "
-                          "synchronisation)")
+    _add_scenario_flags(top, "gdb-kernel", 240)
     top.add_argument("--window", type=int, default=8,
                      help="points in the per-grid-period rate window")
     top.add_argument("--refresh", type=int, default=6,
@@ -866,18 +822,10 @@ def build_parser():
 
     bench = commands.add_parser(
         "bench", help="write machine-readable BENCH_*.json records")
-    bench.add_argument("--scheme", default="all",
-                       choices=["all", "gdb-wrapper", "gdb-kernel",
-                                "driver-kernel"])
-    bench.add_argument("--sim-us", type=int, default=120)
-    bench.add_argument("--seed", type=int, default=7)
+    _add_scenario_flags(bench, "all", 120)
     bench.add_argument("--out-dir", default=None,
                        help="output directory (default: "
                             "$REPRO_BENCH_DIR or benchmarks/out)")
-    bench.add_argument("--quantum", type=int, default=1,
-                       help="sync quantum (batched timesteps per ISS "
-                            "synchronisation; record names gain a _qN "
-                            "suffix when != 1)")
     bench.add_argument("--parallel", default=None,
                        choices=["off", "thread", "process"],
                        help="parallel ISS dispatch backend (default: "

@@ -3,13 +3,14 @@
 One scenario shape — the paper's router case study at quickstart scale
 (two producers, a couple of packets each) — runnable under any of the
 three co-simulation schemes with tracing enabled, optionally over a
-faulty reliable transport.  The golden-trace regression tests, the
-determinism property tests and the ``repro trace`` / ``repro bench``
-CLI commands all build their runs here, so they observe the exact same
-event streams.
+faulty reliable transport.  A run is one ``RouterConfig`` plus its
+horizon in simulated microseconds.  The golden-trace regression tests,
+the determinism property tests and the scenario CLI commands
+(``trace``, ``spans``, ``health``, ``metrics``, ``top``, ``bench``) all
+build their runs here, so they observe the exact same event streams.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.iss.profile import side_exit_profile
 from repro.obs.bench import BenchRun
@@ -17,7 +18,7 @@ from repro.obs.hist import (build_histograms, latency_counters,
                             latency_summaries)
 from repro.obs.spans import spans_from_tracer
 from repro.obs.tracer import Tracer
-from repro.router.system import RouterConfig, build_system
+from repro.router.system import RouterConfig, build_system, config_to_dict
 from repro.sysc.simtime import US
 
 COSIM_SCHEMES = ("gdb-wrapper", "gdb-kernel", "driver-kernel")
@@ -43,67 +44,57 @@ class TracedRun:
     stats: object
 
 
-def run_traced_scenario(scheme, sim_us=120, seed=7, max_packets=2,
-                        producer_count=2, inter_packet_delay_us=20,
-                        reliability=None, fault_plan=None,
-                        watchdog_ticks=None, tracer=None, capacity=200_000,
-                        sync_quantum=1, num_cpus=None, parallel=None,
-                        workers=None, **config_overrides):
-    """Run the quickstart-scale router scenario under *scheme*, traced.
+def quickstart_config(scheme, **fields):
+    """The quickstart-scale router scenario under *scheme*.
 
-    Everything is seeded and simulated-time driven, so two calls with
-    the same arguments produce byte-identical traces (the determinism
-    tests rely on this) — including under the parallel dispatcher,
-    whose quantum-boundary commit keeps traces and metrics identical to
-    serial.  Returns a :class:`TracedRun`.  At ``sync_quantum`` > 1 the
-    scheme batches ISS synchronisations (see ``docs/performance.md``);
-    the default is exact lock-step.  *parallel*/*workers* of ``None``
-    defer to the ``REPRO_PARALLEL``/``REPRO_WORKERS`` environment
-    (serial when unset); pass ``False`` to force serial.  Further
-    keyword arguments (``num_ports``, ``stages``, ``traffic``, …) pass
-    through to :class:`~repro.router.system.RouterConfig` — the fuzzer
-    sweeps topology and traffic this way (docs/fuzzing.md).
+    Seed 7, two producers of two packets each, 20 us apart.  *fields*
+    override any :class:`~repro.router.system.RouterConfig` field
+    (``sync_quantum``, ``num_ports``, ``traffic``, ``tracer``, …).
+    Fields left out keep their defaults, so ``parallel``/``workers``/
+    ``tier`` follow the ``REPRO_PARALLEL``/``REPRO_WORKERS``/
+    ``REPRO_TIER`` environment (serial, two workers, blocks when unset).
     """
-    if tracer is None:
-        tracer = Tracer(capacity=capacity)
-    extra = dict(config_overrides)
-    if num_cpus is not None:
-        extra["num_cpus"] = num_cpus
-    if parallel is not None:
-        extra["parallel"] = parallel or None
-    if workers is not None:
-        extra["workers"] = workers
-    config = RouterConfig(
-        scheme=scheme,
-        seed=seed,
-        max_packets=max_packets,
-        producer_count=producer_count,
-        inter_packet_delay=inter_packet_delay_us * US,
-        reliability=reliability,
-        fault_plan=fault_plan,
-        watchdog_ticks=watchdog_ticks,
-        tracer=tracer,
-        sync_quantum=sync_quantum,
-        **extra,
-    )
+    fields = {"seed": 7, "max_packets": 2, "producer_count": 2,
+              "inter_packet_delay": 20 * US, **fields}
+    return RouterConfig(scheme=scheme, **fields)
+
+
+def _traced(config):
+    """*config*, with a fresh 200 000-event tracer if it has none."""
+    if config.tracer is None:
+        config = replace(config, tracer=Tracer(capacity=200_000))
+    return config
+
+
+def run_traced_scenario(config, sim_us=120):
+    """Run *config* for *sim_us* simulated microseconds, traced.
+
+    A config without a tracer gets a fresh 200 000-event
+    :class:`~repro.obs.tracer.Tracer`.  Everything is seeded and
+    simulated-time driven, so two calls with equal configs produce
+    byte-identical traces (the determinism tests rely on this) —
+    including under the parallel dispatcher, whose quantum-boundary
+    commit keeps traces and metrics identical to serial.  Returns a
+    :class:`TracedRun`.
+    """
+    config = _traced(config)
     system = build_system(config)
     system.run(sim_us * US)
-    return TracedRun(scheme=scheme, system=system, tracer=tracer,
-                     stats=system.stats())
+    return TracedRun(scheme=config.scheme, system=system,
+                     tracer=config.tracer, stats=system.stats())
 
 
-def bench_scenario(scheme, sim_us=120, seed=7, name=None, **overrides):
-    """Run a traced scenario and fold it into a :class:`BenchRun`.
+def bench_scenario(config, sim_us=120, name=None):
+    """Run *config* traced and fold it into a :class:`BenchRun`.
 
     The returned run's ``counters`` are fully deterministic; only its
-    ``wall`` object depends on the host.
+    ``wall`` object depends on the host.  Its ``config`` echoes
+    :func:`~repro.router.system.config_to_dict` plus ``sim_us``.
     """
-    run = BenchRun(name=name or ("cli_%s" % scheme)).start()
-    traced = run_traced_scenario(scheme, sim_us=sim_us, seed=seed, **overrides)
+    run = BenchRun(name=name or ("cli_%s" % config.scheme)).start()
+    traced = run_traced_scenario(config, sim_us=sim_us)
     run.stop()
-    run.config.update({"scheme": scheme, "sim_us": sim_us, "seed": seed,
-                       "sync_quantum": overrides.get("sync_quantum", 1),
-                       "tier": traced.system.config.tier})
+    run.config.update(config_to_dict(config), sim_us=sim_us)
     run.record_metrics(traced.system.metrics)
     # Span latencies: deterministic integers in simulated femtoseconds,
     # derived from the trace after the run (the overhead guard keeps
@@ -164,12 +155,9 @@ def chaos_health_scenario(kind, scheme=None, tracer=None):
     from repro.cosim.faults import FaultPlan
     if kind == "thrash":
         from repro.iss.breakpoints import WatchKind
-        if tracer is None:
-            tracer = Tracer(capacity=200_000)
-        config = RouterConfig(
-            scheme=scheme or "gdb-kernel", seed=7, max_packets=6,
-            producer_count=2, inter_packet_delay=20 * US,
-            sync_quantum=8, dmi=True, tracer=tracer, parallel=False)
+        config = _traced(quickstart_config(
+            scheme or "gdb-kernel", max_packets=6, sync_quantum=8,
+            dmi=True, parallel=False, tracer=tracer))
         system = build_system(config)
         # Armed at an address the guest never touches: the watchpoint
         # never *fires*, but its mere existence voids every grant at
@@ -183,20 +171,18 @@ def chaos_health_scenario(kind, scheme=None, tracer=None):
             else:
                 breakpoints.remove_watch(0x0FFFFFF0)
         return TracedRun(scheme=config.scheme, system=system,
-                         tracer=tracer, stats=system.stats())
+                         tracer=config.tracer, stats=system.stats())
     if kind == "storm":
         plan = FaultPlan(script={index: "drop"
                                  for index in range(8, 200, 3)})
-        return run_traced_scenario(
-            scheme or "gdb-kernel", sim_us=200, seed=7, max_packets=1,
-            reliability=True, fault_plan=plan, tracer=tracer,
-            parallel=False)
+        return run_traced_scenario(quickstart_config(
+            scheme or "gdb-kernel", max_packets=1, reliability=True,
+            fault_plan=plan, tracer=tracer, parallel=False), sim_us=200)
     if kind == "stall":
         plan = FaultPlan(script={index: "drop"
                                  for index in range(8, 4096)})
-        return run_traced_scenario(
-            scheme or "driver-kernel", sim_us=400, seed=7, max_packets=6,
-            fault_plan=plan, watchdog_ticks=60, tracer=tracer,
-            parallel=False)
+        return run_traced_scenario(quickstart_config(
+            scheme or "driver-kernel", max_packets=6, fault_plan=plan,
+            watchdog_ticks=60, tracer=tracer, parallel=False), sim_us=400)
     raise ValueError("unknown chaos kind %r (expected one of %s)"
                      % (kind, ", ".join(CHAOS_KINDS)))

@@ -7,7 +7,7 @@ exposes the statistics the paper's evaluation reports.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from repro.apps.build import build_driver_app, build_gdb_app
@@ -185,6 +185,12 @@ def validate_config(config):
                          % (config.scheme, ", ".join(SCHEMES)))
     if config.num_cpus < 1:
         raise CosimError("num_cpus must be >= 1")
+    if config.sync_quantum < 1:
+        raise CosimError("sync_quantum must be >= 1, got %r"
+                         % (config.sync_quantum,))
+    if config.parallel and config.workers < 1:
+        raise CosimError("workers must be >= 1 when parallel, got %r"
+                         % (config.workers,))
     if config.tier not in TIERS:
         raise CosimError("unknown tier %r (one of %s)"
                          % (config.tier, ", ".join(TIERS)))
@@ -543,15 +549,14 @@ def build_system(config=None, **overrides):
     return RouterSystem(config)
 
 
-#: RouterConfig fields that serialize as plain JSON values.
-_PLAIN_CONFIG_FIELDS = (
-    "scheme", "num_ports", "num_addresses", "clock_period", "cpu_hz",
-    "inter_packet_delay", "input_capacity", "output_capacity", "seed",
-    "max_packets", "app_origin", "memory_size", "stack_top",
-    "local_latency", "producer_count", "num_cpus", "algorithm",
-    "checksum_rounds", "blocked_transfers", "burst", "stages",
-    "watchdog_ticks", "sync_quantum", "parallel", "workers",
-    "parallel_trace_commits", "dmi", "tier", "telemetry")
+#: RouterConfig fields with a structured JSON form; the tracer is never
+#: serialized.  Every other field is a plain JSON value, derived from the
+#: dataclass so a new field cannot be left out of checkpoints and corpus
+#: fixtures.
+_STRUCTURED_FIELDS = ("reliability", "fault_plan", "rtos_costs", "traffic")
+_PLAIN_FIELDS = tuple(
+    entry.name for entry in fields(RouterConfig)
+    if entry.name not in _STRUCTURED_FIELDS + ("tracer",))
 
 
 def config_to_dict(config):
@@ -562,22 +567,17 @@ def config_to_dict(config):
     dropped (the restoring process supplies its own); everything else
     round-trips through :func:`config_from_dict`.
     """
-    from dataclasses import asdict
+    from repro.router.traffic import normalize_traffic_spec
 
-    data = {name: getattr(config, name)
-            for name in _PLAIN_CONFIG_FIELDS}
+    data = {name: getattr(config, name) for name in _PLAIN_FIELDS}
     reliability = config.reliability
-    if reliability is True:
-        data["reliability"] = True
-    elif reliability is not None:
-        data["reliability"] = asdict(reliability)
-    else:
-        data["reliability"] = None
+    if reliability is not None and reliability is not True:
+        reliability = asdict(reliability)
+    data["reliability"] = reliability
     data["fault_plan"] = (config.fault_plan.to_dict()
                           if config.fault_plan is not None else None)
     data["rtos_costs"] = (asdict(config.rtos_costs)
                           if config.rtos_costs is not None else None)
-    from repro.router.traffic import normalize_traffic_spec
     data["traffic"] = normalize_traffic_spec(config.traffic)
     if data["stages"] is not None:
         data["stages"] = list(data["stages"])
@@ -585,23 +585,23 @@ def config_to_dict(config):
 
 
 def config_from_dict(data, tracer=None):
-    """Rebuild a :class:`RouterConfig` from :func:`config_to_dict`."""
+    """Rebuild a :class:`RouterConfig` from :func:`config_to_dict`.
+
+    Absent keys load as the field defaults.
+    """
     from repro.cosim.faults import FaultPlan
     from repro.cosim.reliable import ReliabilityConfig
 
-    kwargs = {name: data[name] for name in _PLAIN_CONFIG_FIELDS
-              if name in data}
+    kwargs = {name: data[name] for name in _PLAIN_FIELDS if name in data}
     reliability = data.get("reliability")
     if isinstance(reliability, dict):
         reliability = ReliabilityConfig(**reliability)
-    kwargs["reliability"] = reliability
     fault_plan = data.get("fault_plan")
     if fault_plan is not None:
         fault_plan = FaultPlan.from_dict(fault_plan)
-    kwargs["fault_plan"] = fault_plan
     rtos_costs = data.get("rtos_costs")
     if rtos_costs is not None:
         rtos_costs = CostModel(**rtos_costs)
-    kwargs["rtos_costs"] = rtos_costs
-    kwargs["traffic"] = data.get("traffic")
-    return RouterConfig(tracer=tracer, **kwargs)
+    return RouterConfig(tracer=tracer, reliability=reliability,
+                        fault_plan=fault_plan, rtos_costs=rtos_costs,
+                        traffic=data.get("traffic"), **kwargs)

@@ -22,6 +22,7 @@ from repro.errors import (CheckpointError, RecoverableCrashError,
 from repro.router.system import (RouterConfig, config_from_dict,
                                  config_to_dict)
 from repro.sysc.simtime import US
+from tests.support import config_values, every_field_config
 
 SCHEMES = ("gdb-wrapper", "gdb-kernel", "driver-kernel")
 BACKENDS = (None, "thread", "process")
@@ -121,6 +122,11 @@ class TestCheckpointFiles:
         assert payload["position"]["slice"] == 3
         round_tripped = config_from_dict(payload["config"])
         assert config_to_dict(round_tripped) == payload["config"]
+
+    def test_config_round_trip_keeps_every_field(self):
+        config = every_field_config()
+        round_tripped = config_from_dict(config_to_dict(config))
+        assert config_values(round_tripped) == config_values(config)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="does not exist"):

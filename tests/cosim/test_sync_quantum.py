@@ -13,8 +13,8 @@ import pytest
 from repro.cosim.binding import ClockBinding
 from repro.errors import CosimError
 from repro.obs.bench import syncs_per_timestep
-from repro.obs.scenarios import COSIM_SCHEMES, bench_scenario, \
-    run_traced_scenario
+from repro.obs.scenarios import (COSIM_SCHEMES, bench_scenario,
+                                 quickstart_config, run_traced_scenario)
 from repro.sysc.simtime import US
 
 QUANTA = (2, 8)
@@ -86,20 +86,23 @@ class TestQuantumEquivalence:
     @pytest.mark.parametrize("quantum", QUANTA)
     def test_matches_lockstep(self, scheme, quantum):
         instructions = scheme != "driver-kernel"
-        lockstep = run_traced_scenario(scheme)
-        batched = run_traced_scenario(scheme, sync_quantum=quantum)
+        lockstep = run_traced_scenario(quickstart_config(scheme))
+        batched = run_traced_scenario(
+            quickstart_config(scheme, sync_quantum=quantum))
         assert (_observables(batched, instructions)
                 == _observables(lockstep, instructions))
 
     def test_batching_reduces_round_trips(self, scheme):
-        __, lockstep = bench_scenario(scheme)
-        __, batched = bench_scenario(scheme, sync_quantum=8)
+        __, lockstep = bench_scenario(quickstart_config(scheme))
+        __, batched = bench_scenario(
+            quickstart_config(scheme, sync_quantum=8))
         base = syncs_per_timestep(lockstep.as_dict())
         fast = syncs_per_timestep(batched.as_dict())
         assert fast < base
 
     def test_quantum_sync_events_traced(self, scheme):
-        run = run_traced_scenario(scheme, sync_quantum=8)
+        run = run_traced_scenario(
+            quickstart_config(scheme, sync_quantum=8))
         names = {event.name for event in run.tracer.events()
                  if event.category == "cosim"}
         assert "quantum_sync" in names
@@ -109,7 +112,7 @@ class TestQuantumEquivalence:
 
     def test_lockstep_emits_no_quantum_events(self, scheme):
         """q=1 stays byte-identical to the pre-quantum trace format."""
-        run = run_traced_scenario(scheme)
+        run = run_traced_scenario(quickstart_config(scheme))
         names = {event.name for event in run.tracer.events()}
         assert "quantum_sync" not in names
         assert run.system.metrics.quantum_syncs == 0
@@ -118,7 +121,8 @@ class TestQuantumEquivalence:
 class TestQuantumDegradation:
     def test_wrapper_degrades_with_interrupts_enabled(self):
         """A CPU that could take an interrupt forces lock-step syncs."""
-        run = run_traced_scenario("gdb-wrapper", sync_quantum=8)
+        run = run_traced_scenario(
+            quickstart_config("gdb-wrapper", sync_quantum=8))
         metrics = run.system.metrics
         # Batching happened: far fewer syncs than timesteps.
         assert metrics.quantum_syncs < metrics.sc_timesteps / 2
@@ -126,8 +130,9 @@ class TestQuantumDegradation:
     def test_driver_kernel_syncs_on_traffic(self):
         """Driver messages and interrupt delivery break the batch, so
         the RTOS observes them at the same timestep as lock-step."""
-        lockstep = run_traced_scenario("driver-kernel")
-        batched = run_traced_scenario("driver-kernel", sync_quantum=8)
+        lockstep = run_traced_scenario(quickstart_config("driver-kernel"))
+        batched = run_traced_scenario(
+            quickstart_config("driver-kernel", sync_quantum=8))
         assert (batched.system.metrics.messages_received
                 == lockstep.system.metrics.messages_received)
         assert (batched.system.metrics.isr_dispatches

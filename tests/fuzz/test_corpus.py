@@ -16,7 +16,8 @@ import pytest
 from repro.errors import CosimError
 from repro.fuzz import (SCENARIO_SCHEMA, load_scenario, run_oracles,
                         scenario_from_dict, scenario_to_dict)
-from repro.fuzz.corpus import corpus_paths
+from repro.fuzz.corpus import Scenario, corpus_paths
+from tests.support import config_values, every_field_config
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                           "fixtures", "scenarios")
@@ -89,6 +90,12 @@ class TestScenarioSerialization:
         assert scenario_to_dict(clone) == scenario_to_dict(scenario)
         assert clone.name == scenario.name
         assert clone.sim_us == scenario.sim_us
+
+    def test_round_trip_keeps_every_config_field(self):
+        scenario = Scenario(name="every_field", sim_us=90,
+                            config=every_field_config())
+        clone = scenario_from_dict(scenario_to_dict(scenario))
+        assert config_values(clone.config) == config_values(scenario.config)
 
     def test_fixture_files_match_canonical_form(self):
         """Committed fixtures are exactly what write_scenario emits."""

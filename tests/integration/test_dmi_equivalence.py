@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cosim.faults import FaultPlan
-from repro.obs.scenarios import run_traced_scenario
+from repro.obs.scenarios import quickstart_config, run_traced_scenario
 from repro.obs.spans import spans_from_tracer
 from repro.obs.tracer import dump_events
 from tests.support import (SIM_SETTINGS, fault_plans, quanta, schemes,
@@ -59,10 +59,10 @@ def _span_timeline(tracer):
 
 def _outcome(scheme, seed, quantum, dmi, parallel=False,
              fault_plan=None, reliability=None):
-    run = run_traced_scenario(
-        scheme, sim_us=60, seed=seed, max_packets=1, producer_count=2,
-        sync_quantum=quantum, num_cpus=2, parallel=parallel,
-        fault_plan=fault_plan, reliability=reliability, dmi=dmi)
+    run = run_traced_scenario(quickstart_config(
+        scheme, seed=seed, max_packets=1, sync_quantum=quantum,
+        num_cpus=2, parallel=parallel, fault_plan=fault_plan,
+        reliability=reliability, dmi=dmi), sim_us=60)
     outcome = {
         "stats": (run.stats.generated, run.stats.forwarded,
                   run.stats.received, run.stats.corrupt),

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cosim.faults import FaultPlan
-from repro.obs.scenarios import run_traced_scenario
+from repro.obs.scenarios import quickstart_config, run_traced_scenario
 from repro.obs.tracer import dump_events
 from tests.support import (SIM_SETTINGS, fault_plans, mpsoc_widths,
                            quanta, schemes, seeds)
@@ -21,10 +21,10 @@ from tests.support import (SIM_SETTINGS, fault_plans, mpsoc_widths,
 
 def _outcome(scheme, seed, num_cpus, quantum, parallel, workers=2,
              fault_plan=None, reliability=None):
-    run = run_traced_scenario(
-        scheme, sim_us=60, seed=seed, max_packets=1, producer_count=2,
-        sync_quantum=quantum, num_cpus=num_cpus, parallel=parallel,
-        workers=workers, fault_plan=fault_plan, reliability=reliability)
+    run = run_traced_scenario(quickstart_config(
+        scheme, seed=seed, max_packets=1, sync_quantum=quantum,
+        num_cpus=num_cpus, parallel=parallel, workers=workers,
+        fault_plan=fault_plan, reliability=reliability), sim_us=60)
     trace = dump_events(run.tracer.events())
     metrics = run.system.metrics.as_dict()
     stats = (run.stats.generated, run.stats.forwarded,
@@ -87,10 +87,10 @@ def test_wrapper_planning_never_probes_unsafe_transports():
                      delay_polls=2)
 
     def outcome(parallel):
-        run = run_traced_scenario(
-            "gdb-wrapper", sim_us=40, seed=169, max_packets=1,
-            producer_count=2, num_ports=2, sync_quantum=8, num_cpus=2,
-            reliability=True, fault_plan=plan, parallel=parallel)
+        run = run_traced_scenario(quickstart_config(
+            "gdb-wrapper", seed=169, max_packets=1, num_ports=2,
+            sync_quantum=8, num_cpus=2, reliability=True,
+            fault_plan=plan, parallel=parallel), sim_us=40)
         trace = dump_events(run.tracer.events())
         metrics = run.system.metrics.as_dict()
         run.system.close()

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 from repro.iss.profile import (CycleProfiler, InstructionTracer,
                                side_exit_profile)
-from repro.obs.scenarios import run_traced_scenario
+from repro.obs.scenarios import quickstart_config, run_traced_scenario
 from tests.support import make_cpu, run_to_halt
 
 _PROGRAM = """
@@ -107,9 +107,9 @@ def test_side_exit_profile_merges_ranks_and_limits():
 
 
 def test_side_exit_analytics_on_a_checksum_guest():
-    run = run_traced_scenario("gdb-kernel", sim_us=120,
-                              tier="superblocks", algorithm="crc32",
-                              checksum_rounds=8, sync_quantum=8)
+    run = run_traced_scenario(quickstart_config(
+        "gdb-kernel", tier="superblocks", algorithm="crc32",
+        checksum_rounds=8, sync_quantum=8))
     cpus = run.system.cpus
     side_exits = sum(cpu.superblock_side_exits for cpu in cpus)
     assert side_exits > 0      # data-dependent CRC bit branches

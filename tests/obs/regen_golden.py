@@ -21,19 +21,21 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 if str(REPO_ROOT / "src") not in sys.path:      # standalone invocation
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.obs.scenarios import COSIM_SCHEMES, run_traced_scenario  # noqa: E402
+from repro.obs.scenarios import (COSIM_SCHEMES,  # noqa: E402
+                                 quickstart_config, run_traced_scenario)
 from repro.obs.tracer import dump_events, strip_header  # noqa: E402
+from repro.sysc.simtime import US  # noqa: E402
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 #: The pinned scenario every golden file captures.  Changing any of
 #: these invalidates all snapshots — regenerate and review the diff.
+GOLDEN_SIM_US = 60
 GOLDEN_PARAMS = dict(
-    sim_us=60,
     seed=7,
     max_packets=1,
     producer_count=2,
-    inter_packet_delay_us=20,
+    inter_packet_delay=20 * US,
 )
 
 #: The batched variant of the same scenario.  Separate snapshots pin
@@ -56,8 +58,9 @@ def golden_trace_text(scheme, quantum=1):
     golden: ring overflow raises instead of silently snapshotting the
     surviving suffix.
     """
-    run = run_traced_scenario(scheme, sync_quantum=quantum,
-                              **GOLDEN_PARAMS)
+    run = run_traced_scenario(
+        quickstart_config(scheme, sync_quantum=quantum, **GOLDEN_PARAMS),
+        sim_us=GOLDEN_SIM_US)
     if run.tracer.dropped:
         raise RuntimeError(
             "golden scenario overflowed the trace ring (%d dropped); "

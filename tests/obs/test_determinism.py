@@ -12,15 +12,16 @@ faults are themselves seeded.
 from hypothesis import given, settings
 
 from repro.obs.bench import BenchRun
-from repro.obs.scenarios import bench_scenario, run_traced_scenario
+from repro.obs.scenarios import (bench_scenario, quickstart_config,
+                                 run_traced_scenario)
 from repro.obs.tracer import Tracer, dump_events
 from tests.support import SIM_SETTINGS, fault_plans, schemes, seeds
 
 
 def _bench_record(scheme, seed):
     traced, run = bench_scenario(
-        scheme, sim_us=60, seed=seed, name="det_%s" % scheme,
-        max_packets=1, producer_count=2)
+        quickstart_config(scheme, seed=seed, max_packets=1), sim_us=60,
+        name="det_%s" % scheme)
     record = run.as_dict()
     wall = record.pop("wall")
     assert "seconds" in wall       # host-dependent data stays in `wall`
@@ -40,10 +41,10 @@ def _chaos_outcome(scheme, seed, plan):
     """
     tracer = Tracer()
     try:
-        run = run_traced_scenario(scheme, sim_us=60, seed=seed,
-                                  max_packets=1, producer_count=2,
-                                  reliability=True, fault_plan=plan,
-                                  tracer=tracer)
+        run = run_traced_scenario(
+            quickstart_config(scheme, seed=seed, max_packets=1,
+                              reliability=True, fault_plan=plan,
+                              tracer=tracer), sim_us=60)
         outcome = {"stats": (run.stats.generated, run.stats.forwarded,
                              run.stats.received, run.stats.corrupt),
                    "metrics": run.system.metrics.as_dict()}
@@ -78,8 +79,9 @@ def test_fault_injected_runs_identical(scheme, seed, plan):
 def test_trace_clock_is_simulation_state(seed):
     """Event time fields must come from the kernel's counters: they are
     monotonic in (timestep, delta, seq) and carry simulated now()."""
-    run = run_traced_scenario("gdb-kernel", sim_us=60, seed=seed,
-                              max_packets=1)
+    run = run_traced_scenario(
+        quickstart_config("gdb-kernel", seed=seed, max_packets=1),
+        sim_us=60)
     events = run.tracer.events()
     assert events
     ordering = [(e.timestep, e.seq) for e in events]

@@ -18,9 +18,11 @@ import json
 import pytest
 
 from repro.obs.scenarios import COSIM_SCHEMES
+from repro.sysc.simtime import US
 
-from tests.obs.regen_golden import (GOLDEN_PARAMS, QUANTUM_GOLDEN,
-                                    golden_path, golden_trace_text)
+from tests.obs.regen_golden import (GOLDEN_PARAMS, GOLDEN_SIM_US,
+                                    QUANTUM_GOLDEN, golden_path,
+                                    golden_trace_text)
 
 REGEN_HINT = ("golden trace drifted; if intentional, regenerate with "
               "`PYTHONPATH=src python tests/obs/regen_golden.py` and "
@@ -90,6 +92,6 @@ class TestQuantumGoldenTraces:
 def test_golden_params_are_pinned():
     """The regen script and this test must agree on the scenario; a
     drive-by change to the shared params should fail loudly here."""
-    assert GOLDEN_PARAMS == dict(sim_us=60, seed=7, max_packets=1,
-                                 producer_count=2,
-                                 inter_packet_delay_us=20)
+    assert GOLDEN_SIM_US == 60
+    assert GOLDEN_PARAMS == dict(seed=7, max_packets=1, producer_count=2,
+                                 inter_packet_delay=20 * US)

@@ -15,7 +15,7 @@ from repro.obs.health import (HealthReport, HealthThresholds,
                               STALL_CRITICAL_KINDS, analyze_records,
                               analyze_run)
 from repro.obs.scenarios import (COSIM_SCHEMES, chaos_health_scenario,
-                                 run_traced_scenario)
+                                 quickstart_config, run_traced_scenario)
 from repro.obs.tracer import TraceEvent
 
 
@@ -286,7 +286,8 @@ class TestAnalyzeRecords:
 @pytest.mark.parametrize("scheme", COSIM_SCHEMES)
 def test_clean_baseline_run_is_healthy(scheme):
     """The CI contract: an unfaulted seeded run must exit 0."""
-    run = run_traced_scenario(scheme, sim_us=60, seed=7, max_packets=1)
+    run = run_traced_scenario(quickstart_config(scheme, max_packets=1),
+                              sim_us=60)
     report = analyze_run(run.tracer.events(), metrics=run.system.metrics,
                          dropped=run.tracer.dropped)
     assert report.exit_code == 0, report.render()
@@ -295,8 +296,9 @@ def test_clean_baseline_run_is_healthy(scheme):
 @pytest.mark.parametrize("scheme", COSIM_SCHEMES)
 def test_clean_dmi_run_is_healthy(scheme):
     """Open grant windows at end of run must not read as stalls."""
-    run = run_traced_scenario(scheme, sim_us=60, seed=7, max_packets=1,
-                              sync_quantum=8, dmi=True)
+    run = run_traced_scenario(
+        quickstart_config(scheme, max_packets=1, sync_quantum=8, dmi=True),
+        sim_us=60)
     report = analyze_run(run.tracer.events(), metrics=run.system.metrics,
                          dropped=run.tracer.dropped)
     run.system.close()

@@ -16,7 +16,8 @@ import pytest
 from repro.obs.health import HealthThresholds, analyze_series
 from repro.obs.metrics import (GRID_PERIOD, MetricsSeries, prometheus_text,
                                sampled_counters)
-from repro.obs.scenarios import COSIM_SCHEMES, run_traced_scenario
+from repro.obs.scenarios import (COSIM_SCHEMES, quickstart_config,
+                                 run_traced_scenario)
 from repro.router.system import RouterConfig, RouterSystem
 from repro.sysc.simtime import MS, US
 
@@ -123,7 +124,7 @@ def test_prometheus_text_types_labels_and_escaping():
 
 
 def test_sampler_records_monotone_per_quantum_points():
-    run = run_traced_scenario("gdb-kernel", sim_us=60)
+    run = run_traced_scenario(quickstart_config("gdb-kernel"), sim_us=60)
     series = run.system.telemetry.series
     points = series.points()
     assert len(points) > 0
@@ -192,7 +193,8 @@ def test_closing_point_takes_its_grid_period_s_place(quantum):
 
 
 def test_telemetry_config_flag_disables_the_sampler():
-    run = run_traced_scenario("gdb-kernel", sim_us=40, telemetry=False)
+    run = run_traced_scenario(
+        quickstart_config("gdb-kernel", telemetry=False), sim_us=40)
     assert run.system.telemetry is None
     run.system.close()
 
@@ -200,7 +202,7 @@ def test_telemetry_config_flag_disables_the_sampler():
 def test_checkpoint_state_carries_the_series():
     from repro.cosim.checkpoint import capture_state
 
-    run = run_traced_scenario("gdb-kernel", sim_us=40)
+    run = run_traced_scenario(quickstart_config("gdb-kernel"), sim_us=40)
     state = capture_state(run.system)
     telemetry = state["telemetry"]
     assert telemetry["enabled"] is True
@@ -260,7 +262,8 @@ def test_analyze_series_quiet_run_is_info():
 
 
 def test_analyze_series_on_a_real_run_is_healthy():
-    run = run_traced_scenario("driver-kernel", sim_us=60)
+    run = run_traced_scenario(quickstart_config("driver-kernel"),
+                              sim_us=60)
     report = analyze_series(run.system.telemetry.series)
     assert report.exit_code == 0
     run.system.close()

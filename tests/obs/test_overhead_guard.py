@@ -16,10 +16,15 @@ the simulation's own deterministic units instead:
 
 import pytest
 
-from repro.obs.scenarios import COSIM_SCHEMES, run_traced_scenario
+from repro.obs.scenarios import (COSIM_SCHEMES, quickstart_config,
+                                 run_traced_scenario)
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-_PARAMS = dict(sim_us=60, seed=7, max_packets=1)
+
+def _run(scheme, **fields):
+    return run_traced_scenario(
+        quickstart_config(scheme, max_packets=1, **fields), sim_us=60)
+
 
 #: Maximum trace events per kernel timestep (generous: the chattiest
 #: scheme, gdb-wrapper, emits ~9/timestep in the pinned scenario).
@@ -63,25 +68,23 @@ class TestOverheadGuard:
     def test_disabled_tracer_emit_is_never_called(self, scheme):
         """The whole scenario must run without entering emit() once."""
         trap = BoobyTrappedTracer()
-        run = run_traced_scenario(scheme, tracer=trap, **_PARAMS)
+        run = _run(scheme, tracer=trap)
         assert len(trap) == 0
         assert run.stats.received > 0       # the run actually happened
 
     def test_tracing_does_not_perturb_the_simulation(self, scheme):
         """Identical poll counts, ISS cycles and traffic stats whether
         tracing is enabled, disabled, or never attached."""
-        traced = run_traced_scenario(scheme, **_PARAMS)
-        disabled = run_traced_scenario(
-            scheme, tracer=Tracer(capacity=0, enabled=False), **_PARAMS)
-        untraced = run_traced_scenario(scheme, tracer=NULL_TRACER,
-                                       **_PARAMS)
+        traced = _run(scheme)
+        disabled = _run(scheme, tracer=Tracer(capacity=0, enabled=False))
+        untraced = _run(scheme, tracer=NULL_TRACER)
         assert len(traced.tracer) > 0
         assert _fingerprint(traced) == _fingerprint(disabled)
         assert _fingerprint(traced) == _fingerprint(untraced)
 
     def test_event_volume_per_timestep_is_bounded(self, scheme):
         """Poll-count-clock budget: emits per timestep stays fixed."""
-        run = run_traced_scenario(scheme, **_PARAMS)
+        run = _run(scheme)
         timesteps = run.system.kernel.timestep_count
         assert timesteps > 0
         assert run.tracer.dropped == 0
@@ -94,17 +97,17 @@ class TestProcessBackendGuard:
     same discipline: their buffered events reach the master tracer only
     when it is enabled, so a disabled tracer receives no replay."""
 
-    _PROCESS = dict(_PARAMS, parallel="process", workers=2)
+    _PROCESS = dict(parallel="process", workers=2)
 
     def test_disabled_tracer_emit_is_never_called(self, scheme):
         trap = BoobyTrappedTracer()
-        run = run_traced_scenario(scheme, tracer=trap, **self._PROCESS)
+        run = _run(scheme, tracer=trap, **self._PROCESS)
         run.system.close()
         assert len(trap) == 0
         assert run.stats.received > 0
 
     def test_tracing_does_not_perturb_the_simulation(self, scheme):
-        runs = [run_traced_scenario(scheme, tracer=tracer, **self._PROCESS)
+        runs = [_run(scheme, tracer=tracer, **self._PROCESS)
                 for tracer in (None, Tracer(capacity=0, enabled=False),
                                NULL_TRACER)]
         for run in runs:
@@ -122,8 +125,7 @@ class TestSpanPlumbingIsFreeWhenDisabled:
     string is ever built), while a traced run must."""
 
     def test_disabled_run_allocates_no_span_ids(self, scheme):
-        run = run_traced_scenario(scheme, tracer=BoobyTrappedTracer(),
-                                  **_PARAMS)
+        run = _run(scheme, tracer=BoobyTrappedTracer())
         assert run.stats.received > 0
         for driver in _target_drivers(run):
             assert driver._bp_seq == 0
@@ -132,7 +134,7 @@ class TestSpanPlumbingIsFreeWhenDisabled:
             assert run.system.scheme._irq_seq == {}
 
     def test_traced_run_allocates_span_ids(self, scheme):
-        run = run_traced_scenario(scheme, **_PARAMS)
+        run = _run(scheme)
         if scheme == "driver-kernel":
             assert run.system.scheme._irq_seq
         else:

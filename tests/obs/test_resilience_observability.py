@@ -25,9 +25,8 @@ import pytest
 
 from repro.cosim.faults import FaultPlan
 from repro.cosim.reliable import ReliabilityConfig
-from repro.obs.scenarios import COSIM_SCHEMES, run_traced_scenario
-
-_PARAMS = dict(sim_us=120, seed=7, max_packets=2, producer_count=2)
+from repro.obs.scenarios import (COSIM_SCHEMES, quickstart_config,
+                                 run_traced_scenario)
 
 # One recoverable class per case, scripted onto early send indices so
 # it fires on every endpoint that carries traffic (index 1 is hit by
@@ -50,8 +49,8 @@ _RECOVERABLE = [
 class TestRecoverableFaultsAreObservable:
     def test_counters_and_trace_agree(self, scheme, fault, plan,
                                       counter, event):
-        run = run_traced_scenario(scheme, reliability=True,
-                                  fault_plan=plan, **_PARAMS)
+        run = run_traced_scenario(quickstart_config(
+            scheme, reliability=True, fault_plan=plan))
         metrics = run.system.metrics
         counts = run.tracer.counts()
         # The fault fired and was recovered...
@@ -70,7 +69,8 @@ class TestRecoverableFaultsAreObservable:
         nominal span events (``transport/send`` / ``transport/ack``)
         are expected: every DATA frame opens and closes its span even
         on a perfect link."""
-        run = run_traced_scenario(scheme, reliability=True, **_PARAMS)
+        run = run_traced_scenario(quickstart_config(scheme,
+                                                    reliability=True))
         metrics = run.system.metrics
         assert metrics.retransmits == 0
         assert metrics.corrupt_rejected == 0
@@ -105,11 +105,11 @@ class TestQuarantineIsObservable:
         plan = FaultPlan(script={
             index: "drop"
             for index in range(scenario["kill_from"], 100_000)})
-        run = run_traced_scenario(scheme, reliability=_FAST_FAIL,
-                                  fault_plan=plan, seed=7,
-                                  sim_us=scenario["sim_us"],
-                                  max_packets=scenario["max_packets"],
-                                  producer_count=2)
+        run = run_traced_scenario(
+            quickstart_config(scheme, reliability=_FAST_FAIL,
+                              fault_plan=plan,
+                              max_packets=scenario["max_packets"]),
+            sim_us=scenario["sim_us"])
         metrics = run.system.metrics
         assert metrics.contexts_quarantined >= 1
         log = metrics.quarantine_log()

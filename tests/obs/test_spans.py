@@ -16,12 +16,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.obs.scenarios import COSIM_SCHEMES, run_traced_scenario
+from repro.obs.scenarios import (COSIM_SCHEMES, quickstart_config,
+                                 run_traced_scenario)
 from repro.obs.spans import (build_spans, dump_spans, perfetto_spans,
                              span_table, spans_from_tracer)
 from repro.obs.tracer import TraceEvent
 
-_PARAMS = dict(sim_us=60, seed=7, max_packets=1, producer_count=2)
+
+def _run(scheme, **fields):
+    return run_traced_scenario(
+        quickstart_config(scheme, max_packets=1, **fields), sim_us=60)
 
 
 def _event(seq, category, name, scope="ctx", timestep=None, now=None,
@@ -134,7 +138,7 @@ class TestSpanExports:
 
 @pytest.mark.parametrize("scheme", COSIM_SCHEMES)
 def test_every_scheme_produces_its_span_kinds(scheme):
-    spans = spans_from_tracer(run_traced_scenario(scheme, **_PARAMS).tracer)
+    spans = spans_from_tracer(_run(scheme).tracer)
     kinds = {span.kind for span in spans}
     assert "transport" not in kinds             # reliable-only spans
     if scheme == "driver-kernel":
@@ -151,7 +155,7 @@ def test_every_scheme_produces_its_span_kinds(scheme):
 
 @pytest.mark.parametrize("scheme", COSIM_SCHEMES)
 def test_reliable_runs_open_and_close_transport_spans(scheme):
-    run = run_traced_scenario(scheme, reliability=True, **_PARAMS)
+    run = _run(scheme, reliability=True)
     transport = [span for span in spans_from_tracer(run.tracer)
                  if span.kind == "transport"]
     assert transport
@@ -167,10 +171,9 @@ def test_serial_and_parallel_span_sets_identical(scheme, quantum):
     """The tentpole determinism claim: correlation ids are allocated on
     the main thread from kernel counters, so the parallel dispatcher's
     quantum-boundary commit replays the exact serial span set."""
-    serial = run_traced_scenario(scheme, sync_quantum=quantum,
-                                 parallel=False, **_PARAMS)
-    parallel = run_traced_scenario(scheme, sync_quantum=quantum,
-                                   parallel=True, workers=2, **_PARAMS)
+    serial = _run(scheme, sync_quantum=quantum, parallel=None)
+    parallel = _run(scheme, sync_quantum=quantum, parallel=True,
+                    workers=2)
     serial_dump = dump_spans(spans_from_tracer(serial.tracer))
     parallel_dump = dump_spans(spans_from_tracer(parallel.tracer))
     assert serial_dump == parallel_dump

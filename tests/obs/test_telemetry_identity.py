@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.scenarios import run_traced_scenario
+from repro.obs.scenarios import quickstart_config, run_traced_scenario
 from repro.router.system import RouterConfig, RouterSystem
 from repro.sysc.simtime import MS, US
 from tests.support import SIM_SETTINGS, quanta, schemes, seeds
@@ -23,9 +23,10 @@ tiers = st.sampled_from(["blocks", "superblocks"])
 
 
 def _series_dump(scheme, seed, quantum, tier, parallel, workers=2):
-    run = run_traced_scenario(scheme, sim_us=60, seed=seed,
-                              sync_quantum=quantum, tier=tier,
-                              parallel=parallel, workers=workers)
+    run = run_traced_scenario(
+        quickstart_config(scheme, seed=seed, sync_quantum=quantum,
+                          tier=tier, parallel=parallel, workers=workers),
+        sim_us=60)
     dump = run.system.telemetry.series.dump()
     run.system.close()
     return dump
@@ -49,11 +50,13 @@ def test_process_parallel_series_matches_serial():
 
 
 def test_dmi_tier_series_matches_serial():
-    run_kwargs = dict(sim_us=60, seed=7, sync_quantum=8, dmi=True)
-    serial = run_traced_scenario("gdb-kernel", parallel=False,
-                                 **run_kwargs)
-    threaded = run_traced_scenario("gdb-kernel", parallel="thread",
-                                   workers=2, **run_kwargs)
+    fields = dict(sync_quantum=8, dmi=True)
+    serial = run_traced_scenario(
+        quickstart_config("gdb-kernel", parallel=False, **fields),
+        sim_us=60)
+    threaded = run_traced_scenario(
+        quickstart_config("gdb-kernel", parallel="thread", workers=2,
+                          **fields), sim_us=60)
     assert serial.system.telemetry.series.dump() \
         == threaded.system.telemetry.series.dump()
     serial.system.close()

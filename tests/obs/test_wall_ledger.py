@@ -22,7 +22,8 @@ if str(_WALL) not in sys.path:
 import ledger  # noqa: E402
 
 from repro.cosim.gdb_kernel import GdbKernelHook  # noqa: E402
-from repro.obs.scenarios import run_traced_scenario  # noqa: E402
+from repro.obs.scenarios import (quickstart_config,  # noqa: E402
+                                 run_traced_scenario)
 
 #: Hook methods a scheme inherits as ``KernelHook`` no-ops: the ledger
 #: leaves them unwrapped on purpose.
@@ -53,7 +54,8 @@ class EdgeClock:
 def _run(scheme):
     # Serial: the ledger times only the main thread, so a thread-pool
     # run would leave ISS execution out of the ``iss`` layer.
-    return run_traced_scenario(scheme, sim_us=60, parallel=False)
+    return run_traced_scenario(quickstart_config(scheme, parallel=False),
+                               sim_us=60)
 
 
 def test_every_entry_point_is_defined_on_its_class():

@@ -5,7 +5,8 @@ import pytest
 
 from repro.cosim.faults import FaultPlan
 from repro.errors import CosimError, ReproError
-from repro.obs.scenarios import COSIM_SCHEMES, run_traced_scenario
+from repro.obs.scenarios import (COSIM_SCHEMES, quickstart_config,
+                                 run_traced_scenario)
 from repro.obs.tracer import dump_events
 from repro.router.routing_table import RoutingTable
 from repro.router.system import (RouterConfig, config_from_dict,
@@ -160,10 +161,9 @@ class TestTopologyEndToEnd:
     @pytest.mark.parametrize("scheme", COSIM_SCHEMES)
     def test_serial_parallel_byte_identity(self, scheme, topology):
         def outcome(parallel):
-            run = run_traced_scenario(
-                scheme, sim_us=60, seed=23, max_packets=1,
-                producer_count=2, sync_quantum=4, parallel=parallel,
-                **topology)
+            run = run_traced_scenario(quickstart_config(
+                scheme, seed=23, max_packets=1, sync_quantum=4,
+                parallel=parallel, **topology), sim_us=60)
             try:
                 return (dump_events(run.tracer.events()),
                         run.system.metrics.as_dict(),
@@ -177,9 +177,8 @@ class TestTopologyEndToEnd:
         assert serial[2][2] > 0          # received end-to-end
 
     def test_fabric_forwards_through_every_stage(self):
-        run = run_traced_scenario(
-            "gdb-kernel", sim_us=80, seed=11, max_packets=2,
-            producer_count=2, num_ports=2, stages=[2, 2])
+        run = run_traced_scenario(quickstart_config(
+            "gdb-kernel", seed=11, num_ports=2, stages=[2, 2]), sim_us=80)
         try:
             assert len(run.system.routers) == 2
             for router in run.system.routers:

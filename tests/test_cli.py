@@ -239,6 +239,24 @@ class TestCli:
         # The resumed run reports the same traffic totals.
         assert resumed.splitlines()[-1] == first.splitlines()[-1]
 
+    def test_router_resume_reports_the_resumed_config(self, tmp_path,
+                                                      capsys):
+        ck_dir = tmp_path / "dk"
+        code = main(["router", "--scheme", "driver-kernel", "--cpus", "2",
+                     "--delay-us", "40", "--sim-ms", "1",
+                     "--checkpoint-every", "8",
+                     "--checkpoint-dir", str(ck_dir)])
+        assert code == 0
+        capsys.readouterr()
+        latest = sorted(ck_dir.glob("checkpoint_*.json"))[-1]
+        code = main(["router", "--resume-from", str(latest),
+                     "--sim-ms", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        # The summary describes the checkpointed run, not the CLI's
+        # defaults (gdb-kernel, 1 CPU, 20 us).
+        assert "scheme=driver-kernel cpus=2 delay=40us sim=2ms" in out
+
     def test_router_resume_missing_is_one_line(self, tmp_path, capsys):
         code = main(["router", "--resume-from",
                      str(tmp_path / "gone.json")])
@@ -293,6 +311,57 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 2
         assert "baseline" in out
+
+
+class TestTopCli:
+    def _title(self, frame):
+        return frame.strip().splitlines()[0]
+
+    def test_once_prints_one_snapshot(self, capsys):
+        code = main(["top", "--scheme", "gdb-kernel", "--sim-us", "120",
+                     "--once"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "\x1b[2J" not in out
+        assert self._title(out).startswith(
+            "gdb-kernel  t=120000000000fs  timestep=240  points=12")
+
+    @pytest.mark.parametrize("sim_us, refresh", [(120, 2), (100, 6)])
+    def test_live_mode_ends_on_the_once_title(self, sim_us, refresh,
+                                              capsys):
+        main(["top", "--scheme", "gdb-kernel", "--sim-us", str(sim_us),
+              "--once"])
+        once = capsys.readouterr().out
+        code = main(["top", "--scheme", "gdb-kernel", "--sim-us",
+                     str(sim_us), "--refresh", str(refresh)])
+        frames = capsys.readouterr().out.split("\x1b[2J\x1b[H")[1:]
+        assert code == 0
+        assert len(frames) == refresh
+        # Slicing the run changes the poll sequence (cheap_polls), so
+        # only the title line — simulated time, timestep, points — is
+        # pinned across the two modes.
+        assert self._title(frames[-1]) == self._title(once)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--scheme", "gdb-kernel", "--quantum", "0"],
+    ["metrics", "--quantum", "-3"],
+    ["checkpoint", "save", "--every", "0", "--out-dir", "unused"],
+    ["router", "--checkpoint-every", "0", "--checkpoint-dir", "unused"],
+    ["bench", "--scheme", "gdb-kernel", "--parallel", "thread",
+     "--workers", "0", "--out-dir", "unused"],
+], ids=["trace-quantum", "metrics-quantum", "checkpoint-every",
+        "router-checkpoint-every", "bench-workers"])
+def test_bad_run_parameters_are_one_line_exit_2(argv, tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 2
+    assert len(out.strip().splitlines()) == 1
+    command = " ".join(argv[:2] if argv[0] == "checkpoint" else argv[:1])
+    assert out.startswith(command + ": ")
+    assert not (tmp_path / "unused").exists()
 
 
 class TestTopologyCli:
