@@ -500,6 +500,14 @@ def _cmd_health(args):
         report = analyze_recovery_log(log)
         return _emit_health(report, args.format)
     if args.chaos:
+        defaults = build_parser().parse_args(["health"])
+        moved = ["--" + name.replace("_", "-")
+                 for name in ("scheme", "sim_us", "seed", "quantum")
+                 if getattr(args, name) != getattr(defaults, name)]
+        if moved:
+            print("health: --chaos %s runs its own fixed scenario; "
+                  "drop %s" % (args.chaos, " ".join(moved)))
+            return 2
         runs = [chaos_health_scenario(args.chaos)]
     else:
         runs = (run_traced_scenario(_scenario_config(args, scheme),

@@ -28,6 +28,10 @@ from repro.errors import CosimError
 class ClockBinding:
     """Maps SystemC simulated time to ISS cycle budgets."""
 
+    #: The local-time-warp counters (:meth:`note_warp`): checkpointed,
+    #: sampled by the telemetry series and folded per context.
+    WARP_COUNTERS = ("warped_syncs", "warped_cycles", "warped_steps")
+
     def __init__(self, cpu_hz, time_per_step_fs, quantum=1):
         if cpu_hz <= 0 or time_per_step_fs <= 0:
             raise CosimError("clock binding needs positive frequencies")
@@ -121,9 +125,7 @@ class ClockBinding:
 
     def warp_state(self):
         """Checkpoint-stable image of the warp counters."""
-        return {"warped_syncs": self.warped_syncs,
-                "warped_cycles": self.warped_cycles,
-                "warped_steps": self.warped_steps}
+        return {name: getattr(self, name) for name in self.WARP_COUNTERS}
 
     def reset(self, now_fs=0):
         """Re-base the binding at *now_fs* (discards carry and bank)."""

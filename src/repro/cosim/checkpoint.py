@@ -37,9 +37,10 @@ from dataclasses import replace as dataclass_replace
 
 from repro.errors import CheckpointError, RecoverableCrashError, parse_crash
 from repro.cosim.metrics import QUARANTINE_WATCHDOG, QUARANTINE_WORKER
+from repro.iss.cpu import ARCH_STATE, CPU_COUNTERS
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Codes the default recovery policy heals.  ``transport-error`` is
 #: deliberately absent: a deterministic fault-injected link would fail
@@ -75,22 +76,7 @@ def _cpu_state(cpu):
     return {
         "name": cpu.name,
         "regs": list(cpu.regs),
-        "pc": cpu.pc,
-        "cycles": cpu.cycles,
-        "instructions": cpu.instructions,
-        "halted": cpu.halted,
-        "waiting": cpu.waiting,
-        "exit_code": cpu.exit_code,
-        "interrupts_enabled": cpu.interrupts_enabled,
-        "irq_pending": cpu.irq_pending,
-        "irq_vector": cpu.irq_vector,
-        "blocks_compiled": cpu.blocks_compiled,
-        "block_hits": cpu.block_hits,
-        "block_invalidations": cpu.block_invalidations,
-        "superblocks_compiled": cpu.superblocks_compiled,
-        "superblock_exits": cpu.superblock_exits,
-        "superblock_invalidations": cpu.superblock_invalidations,
-        "superblock_side_exits": cpu.superblock_side_exits,
+        **{name: getattr(cpu, name) for name in ARCH_STATE + CPU_COUNTERS},
         # Canonical [[pc, count]] lists (JSON would stringify int dict
         # keys, breaking the round trip): the side-exit analytics and
         # the profiler state.  Replay must promote the same superblocks

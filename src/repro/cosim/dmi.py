@@ -252,10 +252,6 @@ class DmiTable:
             address = base + 4 * index
             data[address:address + 4] = \
                 (value & 0xFFFFFFFF).to_bytes(4, "little")
-        if self.memory._dirty is not None and values:
-            first = base >> 8
-            last = (base + 4 * len(values) - 1) >> 8
-            self.memory._dirty.update(range(first, last + 1))
         self.cpu.invalidate_code(base, 4 * len(values))
         grant.writes += len(values)
         self.metrics.dmi_writes += len(values)

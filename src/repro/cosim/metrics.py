@@ -7,7 +7,7 @@ replacement), data-transfer transactions at breakpoints, and
 Driver-Kernel messages.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 # Stable quarantine reason codes.  These strings land in traces,
 # metrics, and health reports, so they must never embed exception
@@ -39,11 +39,11 @@ class CosimMetrics:
     isr_dispatches: int = 0
     iss_cycles: int = 0
     sc_timesteps: int = 0
+    grants: int = 0                 # budget grant+drive round trips
     retransmits: int = 0            # reliable-transport resends
     drops_detected: int = 0         # sequence gaps seen by a receiver
     corrupt_rejected: int = 0       # frames failing their checksum
     contexts_quarantined: int = 0   # ISS contexts detached by watchdog
-    grants: int = 0                 # budget grant+drive round trips
     quantum_syncs: int = 0          # batched synchronisations performed
     quantum_steps_batched: int = 0  # timesteps covered by those syncs
     blocks_compiled: int = 0        # ISS basic blocks compiled
@@ -69,39 +69,15 @@ class CosimMetrics:
     # text, which must never reach golden-trace-relevant fields.
     quarantine_details: list = field(default_factory=list)
 
+    def counters(self):
+        """The numeric counters as a flat dict, in declaration order."""
+        return {name: getattr(self, name) for name in _NUMERIC_FIELDS}
+
     def as_dict(self):
         """All counters as a plain dict (for stats reporting)."""
         return {
             "scheme": self.scheme,
-            "sync_transactions": self.sync_transactions,
-            "cheap_polls": self.cheap_polls,
-            "transfer_transactions": self.transfer_transactions,
-            "transfer_blocks": self.transfer_blocks,
-            "transfer_words": self.transfer_words,
-            "breakpoint_hits": self.breakpoint_hits,
-            "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
-            "interrupts_posted": self.interrupts_posted,
-            "isr_dispatches": self.isr_dispatches,
-            "iss_cycles": self.iss_cycles,
-            "sc_timesteps": self.sc_timesteps,
-            "grants": self.grants,
-            "retransmits": self.retransmits,
-            "drops_detected": self.drops_detected,
-            "corrupt_rejected": self.corrupt_rejected,
-            "contexts_quarantined": self.contexts_quarantined,
-            "quantum_syncs": self.quantum_syncs,
-            "quantum_steps_batched": self.quantum_steps_batched,
-            "blocks_compiled": self.blocks_compiled,
-            "block_hits": self.block_hits,
-            "block_invalidations": self.block_invalidations,
-            "superblocks_compiled": self.superblocks_compiled,
-            "superblock_exits": self.superblock_exits,
-            "superblock_invalidations": self.superblock_invalidations,
-            "superblock_side_exits": self.superblock_side_exits,
-            "dmi_reads": self.dmi_reads,
-            "dmi_writes": self.dmi_writes,
-            "dmi_invalidations": self.dmi_invalidations,
+            **self.counters(),
             "per_context": {name: dict(counters) for name, counters
                             in sorted(self.per_context.items())},
             **self.extra,
@@ -140,19 +116,6 @@ class CosimMetrics:
         """The ``(context, reason)`` pairs recorded by the watchdogs."""
         return list(self.extra.get("quarantine_log", []))
 
-    _NUMERIC_FIELDS = (
-        "sync_transactions", "cheap_polls", "transfer_transactions",
-        "transfer_blocks", "transfer_words",
-        "breakpoint_hits", "messages_sent", "messages_received",
-        "interrupts_posted", "isr_dispatches", "iss_cycles",
-        "sc_timesteps", "grants", "retransmits", "drops_detected",
-        "corrupt_rejected", "contexts_quarantined",
-        "quantum_syncs", "quantum_steps_batched",
-        "blocks_compiled", "block_hits", "block_invalidations",
-        "superblocks_compiled", "superblock_exits",
-        "superblock_invalidations", "superblock_side_exits",
-        "dmi_reads", "dmi_writes", "dmi_invalidations")
-
     @classmethod
     def aggregate(cls, bundles, scheme="aggregate"):
         """Sum several counter bundles into one (multi-run profiling).
@@ -163,9 +126,16 @@ class CosimMetrics:
         """
         total = cls(scheme=scheme)
         for bundle in bundles:
-            for name in cls._NUMERIC_FIELDS:
+            for name in _NUMERIC_FIELDS:
                 setattr(total, name,
                         getattr(total, name) + getattr(bundle, name))
             for context, counters in bundle.per_context.items():
                 total.bump_context(context, **counters)
         return total
+
+
+#: The numeric counters, in declaration order: every field declared
+#: ``int``.  The telemetry series (repro.obs.metrics) and BENCH
+#: records read them in this order.
+_NUMERIC_FIELDS = tuple(spec.name for spec in fields(CosimMetrics)
+                        if spec.type is int)

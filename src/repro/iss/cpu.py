@@ -61,6 +61,19 @@ class StopReason(enum.Enum):
     INSTRUCTION_LIMIT = "instruction_limit"
 
 
+#: The scalar architectural state, beside the register file: what a
+#: snapshot, a checkpoint image and the process-backend exchange carry.
+ARCH_STATE = ("pc", "cycles", "instructions", "halted", "waiting",
+              "exit_code", "interrupts_enabled", "irq_pending",
+              "irq_vector")
+
+#: The execution-tier counters: deterministic, checkpointed, shipped
+#: back from a process worker, and folded into the shared metrics.
+CPU_COUNTERS = ("blocks_compiled", "block_hits", "block_invalidations",
+                "superblocks_compiled", "superblock_exits",
+                "superblock_invalidations", "superblock_side_exits")
+
+
 class Cpu:
     """One R32 core attached to a :class:`~repro.iss.memory.Memory`."""
 
@@ -354,15 +367,7 @@ class Cpu:
         not captured."""
         return {
             "regs": list(self.regs),
-            "pc": self.pc,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "halted": self.halted,
-            "waiting": self.waiting,
-            "exit_code": self.exit_code,
-            "interrupts_enabled": self.interrupts_enabled,
-            "irq_pending": self.irq_pending,
-            "irq_vector": self.irq_vector,
+            **{name: getattr(self, name) for name in ARCH_STATE},
             "memory": bytes(self.memory.data),
         }
 
@@ -373,15 +378,8 @@ class Cpu:
                 "snapshot memory size %d does not match CPU memory %d"
                 % (len(snapshot["memory"]), self.memory.size))
         self.regs[:] = snapshot["regs"]
-        self.pc = snapshot["pc"]
-        self.cycles = snapshot["cycles"]
-        self.instructions = snapshot["instructions"]
-        self.halted = snapshot["halted"]
-        self.waiting = snapshot["waiting"]
-        self.exit_code = snapshot["exit_code"]
-        self.interrupts_enabled = snapshot["interrupts_enabled"]
-        self.irq_pending = snapshot["irq_pending"]
-        self.irq_vector = snapshot["irq_vector"]
+        for name in ARCH_STATE:
+            setattr(self, name, snapshot[name])
         self.memory.data[:] = snapshot["memory"]
         self.flush_decode_cache()
         self._resume_skip = None

@@ -78,7 +78,6 @@ class Memory:
         self._code_listeners = []       # called with the store address
         self._shm = None                # SharedMemory backing, when exported
         self._shm_finalizer = None
-        self._dirty = None              # dirty page indices, when tracked
 
     # -- shared-memory backing (process-backend parallel execution) ------------
 
@@ -196,8 +195,6 @@ class Memory:
             region.store_word(address - region.base, value & WORD_MASK)
             return
         self.data[address:address + 4] = (value & WORD_MASK).to_bytes(4, "little")
-        if self._dirty is not None:
-            self._dirty.add(address >> 8)
         if self._code_pages and (address >> 8) in self._code_pages:
             for listener in self._code_listeners:
                 listener(address)
@@ -222,8 +219,6 @@ class Memory:
             region.store_byte(address - region.base, value & 0xFF)
             return
         self.data[address] = value & 0xFF
-        if self._dirty is not None:
-            self._dirty.add(address >> 8)
         if self._code_pages and (address >> 8) in self._code_pages:
             for listener in self._code_listeners:
                 listener(address)
@@ -244,34 +239,10 @@ class Memory:
         """
         self._check(address, max(len(payload), 1))
         self.data[address:address + len(payload)] = payload
-        if self._dirty is not None and payload:
-            first = address >> 8
-            last = (address + len(payload) - 1) >> 8
-            self._dirty.update(range(first, last + 1))
 
     # -- page snapshots (checkpoint/restore) -----------------------------------
 
     PAGE_SIZE = 256   # matches the code-page granularity above
-
-    def enable_dirty_tracking(self):
-        """Track pages written through this Memory's own store paths.
-
-        A capture-cost optimization only: stores performed by a forked
-        process worker happen in another interpreter (only the shared
-        bytes propagate), so checkpointing falls back to the full
-        nonzero-page scan whenever tracking cannot see every store.
-        Returns the live dirty-page set.
-        """
-        if self._dirty is None:
-            self._dirty = set()
-        return self._dirty
-
-    def drain_dirty(self):
-        """Dirty page indices since the last drain (tracking required)."""
-        if self._dirty is None:
-            return set()
-        dirty, self._dirty = self._dirty, set()
-        return dirty
 
     def snapshot_pages(self):
         """Sparse image of guest RAM: ``{page_index: page_bytes}``.
@@ -290,15 +261,3 @@ class Memory:
             if chunk != zero:
                 pages[base // step] = chunk
         return pages
-
-    def load_pages(self, pages):
-        """Overwrite guest RAM from a :meth:`snapshot_pages` image.
-
-        Pages absent from *pages* are zeroed — the image is the whole
-        RAM state, not a patch.
-        """
-        step = self.PAGE_SIZE
-        zero = bytes(step)
-        for base in range(0, self.size, step):
-            chunk = pages.get(base // step)
-            self.data[base:base + step] = chunk if chunk else zero

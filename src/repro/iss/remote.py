@@ -13,12 +13,12 @@ client, ports, metrics — stays in the SystemC process:
   the same bytes with no copying;
 - every ``cpu.run`` call is forwarded over a pipe
   (:class:`RemoteCpu`), shipping the small architectural state blob
-  both ways.  Forwarding *all* runs means the worker's decode/block
-  caches are the only caches that ever execute — they warm up and
-  invalidate exactly like the single serial cache, which keeps
-  ``blocks_compiled``/``block_hits`` counters — and, on the
-  superblock tier, the profiler counts, promotions and
-  ``superblock_*`` counters — byte-identical to serial execution;
+  (the declared ``ARCH_STATE``) both ways.  Forwarding *all* runs
+  means the worker's decode/block caches are the only caches that
+  ever execute — they warm up and invalidate exactly like the single
+  serial cache, which keeps the tier counters (``CPU_COUNTERS``) —
+  and, on the superblock tier, the profiler counts and promotions —
+  byte-identical to serial execution;
 - trace events emitted inside the worker (``iss/stop``,
   ``iss/breakpoint``, ``iss/watchpoint``, ``iss/block_compile``) are
   captured in a :class:`~repro.obs.tracer.TraceBuffer` and replayed on
@@ -39,20 +39,21 @@ import os
 
 from repro import errors as _errors
 from repro.errors import IssError
-from repro.iss.cpu import StopReason
+from repro.iss.cpu import ARCH_STATE, CPU_COUNTERS, StopReason
 from repro.obs.tracer import TraceBuffer
 
 #: How long (seconds) to wait for a worker before declaring it wedged.
 DEFAULT_TIMEOUT = 60.0
 
-_STATE_FIELDS = ("pc", "cycles", "instructions", "halted", "waiting",
-                 "exit_code", "interrupts_enabled", "irq_pending",
-                 "irq_vector")
+#: The declared CPU fields a worker ships back after a run: the
+#: architectural state and, since only the worker executes, the
+#: tier counters.
+_RESULT_FIELDS = ARCH_STATE + CPU_COUNTERS
 
 
 def _pack_state(cpu):
     """The architectural state blob shipped master -> worker."""
-    state = {name: getattr(cpu, name) for name in _STATE_FIELDS}
+    state = {name: getattr(cpu, name) for name in ARCH_STATE}
     state["regs"] = list(cpu.regs)
     state["resume_skip"] = cpu._resume_skip
     state["breakpoints"] = sorted(cpu.breakpoints._code)
@@ -63,7 +64,7 @@ def _pack_state(cpu):
 
 def _apply_state(cpu, state):
     """Install a master-side state blob into the worker CPU."""
-    for name in _STATE_FIELDS:
+    for name in ARCH_STATE:
         setattr(cpu, name, state[name])
     cpu.regs[:] = state["regs"]
     cpu._resume_skip = state["resume_skip"]
@@ -87,7 +88,7 @@ def _apply_state(cpu, state):
 
 def _pack_result(cpu):
     """The result blob shipped worker -> master after a run."""
-    result = {name: getattr(cpu, name) for name in _STATE_FIELDS}
+    result = {name: getattr(cpu, name) for name in _RESULT_FIELDS}
     result["regs"] = list(cpu.regs)
     result["resume_skip"] = cpu._resume_skip
     result["last_stop"] = (cpu._last_stop.value
@@ -102,13 +103,6 @@ def _pack_result(cpu):
     result["bp_hits"] = dict(cpu.breakpoints._code)
     result["code_hit_count"] = cpu.breakpoints.code_hit_count
     result["watch_hit_count"] = cpu.breakpoints.watch_hit_count
-    result["blocks_compiled"] = cpu.blocks_compiled
-    result["block_hits"] = cpu.block_hits
-    result["block_invalidations"] = cpu.block_invalidations
-    result["superblocks_compiled"] = cpu.superblocks_compiled
-    result["superblock_exits"] = cpu.superblock_exits
-    result["superblock_invalidations"] = cpu.superblock_invalidations
-    result["superblock_side_exits"] = cpu.superblock_side_exits
     result["side_exit_sites"] = dict(cpu.side_exit_sites)
     # The worker's profiler is the one that executes, so its counts
     # are authoritative; shipping them back keeps master-side
@@ -119,7 +113,7 @@ def _pack_result(cpu):
 
 def _apply_result(cpu, result):
     """Install a worker result blob into the master-side CPU."""
-    for name in _STATE_FIELDS:
+    for name in _RESULT_FIELDS:
         setattr(cpu, name, result[name])
     cpu.regs[:] = result["regs"]
     cpu._resume_skip = result["resume_skip"]
@@ -136,13 +130,6 @@ def _apply_result(cpu, result):
     cpu.breakpoints._code = dict(result["bp_hits"])
     cpu.breakpoints.code_hit_count = result["code_hit_count"]
     cpu.breakpoints.watch_hit_count = result["watch_hit_count"]
-    cpu.blocks_compiled = result["blocks_compiled"]
-    cpu.block_hits = result["block_hits"]
-    cpu.block_invalidations = result["block_invalidations"]
-    cpu.superblocks_compiled = result["superblocks_compiled"]
-    cpu.superblock_exits = result["superblock_exits"]
-    cpu.superblock_invalidations = result["superblock_invalidations"]
-    cpu.superblock_side_exits = result["superblock_side_exits"]
     cpu.side_exit_sites = dict(result["side_exit_sites"])
     cpu.block_profiler.restore(result["profile"])
 

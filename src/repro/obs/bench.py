@@ -73,13 +73,9 @@ class BenchRun:
 
     def record_metrics(self, metrics):
         """Merge a :class:`~repro.cosim.metrics.CosimMetrics` bundle."""
-        counters = metrics.as_dict()
-        counters.pop("quarantine_log", None)
-        counters.pop("per_context", None)  # nested; repro-bench/1 is flat
-        scheme = counters.pop("scheme", "")
-        if scheme:
-            self.config.setdefault("scheme", scheme)
-        self.record(**counters)
+        if metrics.scheme:
+            self.config.setdefault("scheme", metrics.scheme)
+        self.record(**metrics.counters())
 
     def as_dict(self):
         """The finished record in ``repro-bench/1`` shape."""

@@ -49,41 +49,22 @@ def grid_periods(first_now, last_now):
     return max(1, last_now // GRID_PERIOD - first_now // GRID_PERIOD)
 
 
-#: Counters folded directly from the CPUs at sample time (the shared
-#: metrics fields for these lag until ``fold_cpu_counters`` runs).
-CPU_COUNTERS = (
-    "blocks_compiled", "block_hits", "block_invalidations",
-    "superblocks_compiled", "superblock_exits",
-    "superblock_invalidations", "superblock_side_exits")
-
-#: The warp counters summed over every context's ClockBinding.
-WARP_COUNTERS = ("warped_syncs", "warped_cycles", "warped_steps")
-
-#: The counters appended after the CosimMetrics numeric fields.
-_EXTRA_COUNTERS = ("trace_dropped",) + WARP_COUNTERS
-
-
 def sampled_counters():
     """The fixed counter order of every series point: the CosimMetrics
     numeric fields, then the tracer drop count, then the warp sums.
 
     Resolved lazily (``repro.cosim`` imports the SystemC kernel, which
     imports :mod:`repro.obs.tracer` — an eager import here would close
-    that cycle); also exposed as the module attribute
-    ``SAMPLED_COUNTERS`` via :pep:`562`.
+    that cycle).
     """
-    from repro.cosim.metrics import CosimMetrics
-    return CosimMetrics._NUMERIC_FIELDS + _EXTRA_COUNTERS
+    from repro.cosim.binding import ClockBinding
+    from repro.cosim.metrics import _NUMERIC_FIELDS
+    return (_NUMERIC_FIELDS + ("trace_dropped",)
+            + ClockBinding.WARP_COUNTERS)
 
-
-def __getattr__(name):
-    if name == "SAMPLED_COUNTERS":
-        return sampled_counters()
-    raise AttributeError("module %r has no attribute %r"
-                         % (__name__, name))
 
 #: Exposition names that are instantaneous readings, not cumulative
-#: counters (everything in SAMPLED_COUNTERS is cumulative).
+#: counters (every :func:`sampled_counters` entry is cumulative).
 GAUGE_NAMES = frozenset(("sim_now_fs", "timestep", "points",
                          "points_evicted"))
 
@@ -344,10 +325,12 @@ class MetricsSampler:
         system's CPUs, bindings and tracer are fixed once it is built,
         so they are resolved here too.
         """
+        from repro.cosim.binding import ClockBinding
+        from repro.iss.cpu import CPU_COUNTERS
         system = self.system
         bindings = [binding for __, binding in system.bindings()]
         owners = dict.fromkeys(CPU_COUNTERS, system.cpus)
-        owners.update(dict.fromkeys(WARP_COUNTERS, bindings))
+        owners.update(dict.fromkeys(ClockBinding.WARP_COUNTERS, bindings))
         owners["trace_dropped"] = [system.kernel.tracer]
         sources = []
         for name in counters:

@@ -29,9 +29,7 @@ class SchemeProfile:
     @classmethod
     def from_run(cls, metrics, tracer=None):
         """Profile a finished run from its metrics (and tracer)."""
-        counters = metrics.as_dict()
-        counters.pop("quarantine_log", None)
-        counters.pop("per_context", None)  # nested; not a rate source
+        counters = metrics.counters()
         timesteps = counters.get("sc_timesteps") or 0
         rates = {}
         for name in RATE_COUNTERS:
@@ -42,7 +40,7 @@ class SchemeProfile:
             if tracer is not None else {}
         if tracer is not None:
             counters["trace_dropped"] = tracer.dropped
-        return cls(scheme=counters.pop("scheme", ""), counters=counters,
+        return cls(scheme=metrics.scheme, counters=counters,
                    rates=rates, event_counts=event_counts,
                    latency=dict(getattr(metrics, "latency", {}) or {}))
 

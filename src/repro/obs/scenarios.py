@@ -136,7 +136,7 @@ def bench_scenario(config, sim_us=120, name=None):
     return traced, run
 
 
-def chaos_health_scenario(kind, scheme=None, tracer=None):
+def chaos_health_scenario(kind):
     """One seeded fault scenario the health analyzer must flag.
 
     ``storm``: the reliable transport over a link that drops every
@@ -150,14 +150,15 @@ def chaos_health_scenario(kind, scheme=None, tracer=None):
     simulated cadence — every disarmed stretch re-acquires the grants
     the armed stretch killed, so one page's invalidation count sails
     past the dmi-storm threshold without the table ever degrading.
-    Returns a :class:`TracedRun`.
+    Each kind fixes its own scheme and run: its fault shows only
+    there.  Returns a :class:`TracedRun`.
     """
     from repro.cosim.faults import FaultPlan
     if kind == "thrash":
         from repro.iss.breakpoints import WatchKind
         config = _traced(quickstart_config(
-            scheme or "gdb-kernel", max_packets=6, sync_quantum=8,
-            dmi=True, parallel=False, tracer=tracer))
+            "gdb-kernel", max_packets=6, sync_quantum=8, dmi=True,
+            parallel=False))
         system = build_system(config)
         # Armed at an address the guest never touches: the watchpoint
         # never *fires*, but its mere existence voids every grant at
@@ -176,13 +177,13 @@ def chaos_health_scenario(kind, scheme=None, tracer=None):
         plan = FaultPlan(script={index: "drop"
                                  for index in range(8, 200, 3)})
         return run_traced_scenario(quickstart_config(
-            scheme or "gdb-kernel", max_packets=1, reliability=True,
-            fault_plan=plan, tracer=tracer, parallel=False), sim_us=200)
+            "gdb-kernel", max_packets=1, reliability=True,
+            fault_plan=plan, parallel=False), sim_us=200)
     if kind == "stall":
         plan = FaultPlan(script={index: "drop"
                                  for index in range(8, 4096)})
         return run_traced_scenario(quickstart_config(
-            scheme or "driver-kernel", max_packets=6, fault_plan=plan,
-            watchdog_ticks=60, tracer=tracer, parallel=False), sim_us=400)
+            "driver-kernel", max_packets=6, fault_plan=plan,
+            watchdog_ticks=60, parallel=False), sim_us=400)
     raise ValueError("unknown chaos kind %r (expected one of %s)"
                      % (kind, ", ".join(CHAOS_KINDS)))

@@ -18,7 +18,7 @@ from repro.cosim.gdb_wrapper import GdbWrapperScheme
 from repro.cosim.metrics import CosimMetrics
 from repro.cosim.parallel import make_dispatcher
 from repro.errors import CosimError
-from repro.iss.cpu import TIERS, Cpu
+from repro.iss.cpu import CPU_COUNTERS, TIERS, Cpu
 from repro.iss.loader import load_program
 from repro.router.consumer import Consumer
 from repro.router.engines import (CHECKSUM_IRQ_VECTOR, DriverChecksumEngine,
@@ -479,34 +479,19 @@ class RouterSystem:
         ``CosimMetrics.aggregate`` folds ``per_context`` values by
         summation.
         """
-        self.metrics.blocks_compiled = sum(
-            cpu.blocks_compiled for cpu in self.cpus)
-        self.metrics.block_hits = sum(cpu.block_hits for cpu in self.cpus)
-        self.metrics.block_invalidations = sum(
-            cpu.block_invalidations for cpu in self.cpus)
-        self.metrics.superblocks_compiled = sum(
-            cpu.superblocks_compiled for cpu in self.cpus)
-        self.metrics.superblock_exits = sum(
-            cpu.superblock_exits for cpu in self.cpus)
-        self.metrics.superblock_invalidations = sum(
-            cpu.superblock_invalidations for cpu in self.cpus)
-        self.metrics.superblock_side_exits = sum(
-            cpu.superblock_side_exits for cpu in self.cpus)
+        metrics = self.metrics
+        for name in CPU_COUNTERS:
+            setattr(metrics, name,
+                    sum(getattr(cpu, name) for cpu in self.cpus))
         for cpu in self.cpus:
-            bucket = self.metrics.per_context.setdefault(cpu.name, {})
-            bucket["blocks_compiled"] = cpu.blocks_compiled
-            bucket["block_hits"] = cpu.block_hits
-            bucket["superblocks_compiled"] = cpu.superblocks_compiled
-            bucket["superblock_exits"] = cpu.superblock_exits
-            bucket["superblock_side_exits"] = cpu.superblock_side_exits
+            metrics.per_context.setdefault(cpu.name, {}).update(
+                (name, getattr(cpu, name)) for name in CPU_COUNTERS)
         # DMI warp accounting per context (ClockBinding.note_warp):
         # reconciled syncs/cycles/steps join the reads/writes/grants
         # breakdown.  Assignment, so the fold stays idempotent.
         for name, binding in self.bindings():
-            bucket = self.metrics.per_context.setdefault(name, {})
-            bucket["warped_syncs"] = binding.warped_syncs
-            bucket["warped_cycles"] = binding.warped_cycles
-            bucket["warped_steps"] = binding.warped_steps
+            metrics.per_context.setdefault(name, {}).update(
+                binding.warp_state())
 
     def stats(self):
         """Collect the evaluation statistics of the run so far."""

@@ -135,14 +135,6 @@ class TestZeroCopyMotion:
         assert grant.writes == 2
         assert metrics.dmi_writes == 2
 
-    def test_write_words_marks_dirty_pages(self):
-        table, memory, __ = make_table()
-        memory.enable_dirty_tracking()
-        memory.drain_dirty()
-        grant = table.acquire(0x1000, 8, GRANT_OUT)
-        table.write_words(grant, 0x1000, [1, 2])
-        assert 0x1000 >> 8 in memory.drain_dirty()
-
     def test_per_context_counters(self):
         table, memory, metrics = make_table()
         grant = table.acquire(0x1000, 4, GRANT_IN)

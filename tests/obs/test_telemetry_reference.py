@@ -13,8 +13,9 @@ quarantine.
 
 import pytest
 
+from repro.cosim.binding import ClockBinding
 from repro.cosim.faults import FaultPlan
-from repro.obs.metrics import CPU_COUNTERS, WARP_COUNTERS
+from repro.iss.cpu import CPU_COUNTERS
 from repro.obs.scenarios import COSIM_SCHEMES
 from repro.router.system import RouterConfig, RouterSystem
 from repro.sysc.simtime import US
@@ -26,9 +27,9 @@ def reference_values(system, counters):
     for cpu in system.cpus:
         for name in CPU_COUNTERS:
             cpu_sums[name] += getattr(cpu, name)
-    warp_sums = dict.fromkeys(WARP_COUNTERS, 0)
+    warp_sums = dict.fromkeys(ClockBinding.WARP_COUNTERS, 0)
     for __, binding in system.bindings():
-        for name in WARP_COUNTERS:
+        for name in ClockBinding.WARP_COUNTERS:
             warp_sums[name] += getattr(binding, name)
     values = []
     for name in counters:

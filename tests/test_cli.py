@@ -364,6 +364,20 @@ def test_bad_run_parameters_are_one_line_exit_2(argv, tmp_path, capsys,
     assert not (tmp_path / "unused").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--scheme", "driver-kernel"), ("--sim-us", "60"), ("--seed", "3"),
+    ("--quantum", "4"),
+])
+def test_health_chaos_rejects_scenario_flags(flag, value, capsys):
+    # Each chaos kind is built for one scheme and run; a scenario flag
+    # would be ignored, so it is refused before anything runs.
+    code = main(["health", "--chaos", "storm", flag, value])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.strip().splitlines() == [
+        "health: --chaos storm runs its own fixed scenario; drop " + flag]
+
+
 class TestTopologyCli:
     def test_router_custom_width(self, capsys):
         code = main(["router", "--scheme", "gdb-kernel", "--ports", "5",
