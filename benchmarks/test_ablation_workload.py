@@ -1,36 +1,24 @@
-"""Ablations: guest workload weight and memory-hierarchy timing.
+"""Ablation: guest workload weight.
 
-Two knobs that move the Figure 7 operating point without touching the
-co-simulation machinery:
-
-1. the checksum algorithm — the paper's light word-sum vs a bitwise
-   CRC-32 (~70x the guest cycles per packet);
-2. cache timing models on the ISS — cold instruction/data caches add
-   miss penalties that the guest pays in its cycle budget.
-
-Both shift the forwarding curves exactly as a real platform would,
-which is the point of cycle-accounting co-simulation.
+The checksum algorithm moves the Figure 7 operating point without
+touching the co-simulation machinery: the paper's light word-sum vs a
+bitwise CRC-32 (~70x the guest cycles per packet) shifts the
+forwarding curves exactly as a real platform would, which is the point
+of cycle-accounting co-simulation.
 """
 
 import pytest
 
-from repro.iss.cache import CacheModel
 from repro.router.system import RouterConfig, RouterSystem
 from repro.sysc.simtime import MS, US
 
 SIM_TIME = 2 * MS
 
 
-def _run(algorithm="sum", delay=30 * US, caches=False, miss_cycles=20):
+def _run(algorithm="sum"):
     system = RouterSystem(RouterConfig(scheme="driver-kernel",
-                                       inter_packet_delay=delay,
+                                       inter_packet_delay=30 * US,
                                        algorithm=algorithm))
-    if caches:
-        for cpu in system.cpus:
-            cpu.attach_icache(CacheModel(size=1024, miss_cycles=miss_cycles,
-                                         name="icache"))
-            cpu.attach_dcache(CacheModel(size=512, miss_cycles=miss_cycles,
-                                         name="dcache"))
     system.run(SIM_TIME)
     return system
 
@@ -56,22 +44,3 @@ def test_crc32_shifts_saturation_point(benchmark, summary):
             % (light, heavy))
     assert heavy < light - 10
 
-
-def test_cache_misses_cost_forwarding(benchmark, summary):
-    def run_pair():
-        no_cache = _run("crc32", delay=100 * US)
-        cached = _run("crc32", delay=100 * US, caches=True,
-                      miss_cycles=40)
-        return no_cache, cached
-
-    no_cache, cached = benchmark.pedantic(run_pair, rounds=1,
-                                          iterations=1)
-    icache = cached.cpus[0].icache
-    summary("cache ablation: no-cache %.1f%%, cached %.1f%% "
-            "(icache hit rate %.3f)" % (
-                no_cache.stats().forwarded_percent,
-                cached.stats().forwarded_percent, icache.hit_rate))
-    assert cached.stats().corrupt == 0
-    # A 1 KiB icache holds the CRC loop: high hit rate, mild slowdown.
-    assert icache.hit_rate > 0.95
-    assert cached.stats().forwarded <= no_cache.stats().forwarded

@@ -303,23 +303,6 @@ def _cmd_checkpoint_verify(args):
     return 0
 
 
-def _cmd_stream(args):
-    from repro.stream import build_stream_system
-
-    system = build_stream_system(scheme=args.scheme,
-                                 total_samples=args.samples,
-                                 block_words=args.block,
-                                 window=args.window)
-    system.run(args.sim_ms * MS)
-    done = system.sink.completed_at
-    print("scheme=%s samples=%d block=%d window=%d" % (
-        args.scheme, args.samples, args.block, args.window))
-    print("filtered=%d mismatches=%d completed_at=%s" % (
-        len(system.sink.received), system.sink.mismatches,
-        ("%.2f ms" % (done / 1e12)) if done else "incomplete"))
-    return 0 if system.sink.mismatches == 0 else 1
-
-
 def _cmd_report(args):
     from repro.analysis.report import generate_report
 
@@ -419,10 +402,8 @@ def _cmd_bench(args):
 
 @_run_command("spans")
 def _cmd_spans(args):
-    import json
-
     from repro.obs.scenarios import run_traced_scenario
-    from repro.obs.spans import (dump_spans, perfetto_spans,
+    from repro.obs.spans import (dump_spans, perfetto_spans_json,
                                  span_table, spans_from_tracer)
 
     schemes = _scenario_schemes(args.scheme)
@@ -431,8 +412,7 @@ def _cmd_spans(args):
                                   args.sim_us)
         spans = spans_from_tracer(run.tracer)
         if args.format == "perfetto":
-            text = json.dumps(perfetto_spans(spans), sort_keys=True,
-                              separators=(",", ":"))
+            text = perfetto_spans_json(spans)
         elif args.format == "json":
             text = dump_spans(spans)
         else:
@@ -736,16 +716,6 @@ def build_parser():
                        "missing or corrupt)")
     ck_verify.add_argument("path", help="checkpoint file")
     ck_verify.set_defaults(func=_cmd_checkpoint_verify)
-
-    stream = commands.add_parser("stream",
-                                 help="the streaming DSP case study")
-    stream.add_argument("--scheme", default="driver-kernel",
-                        choices=["driver-kernel", "gdb-kernel"])
-    stream.add_argument("--samples", type=int, default=192)
-    stream.add_argument("--block", type=int, default=16)
-    stream.add_argument("--window", type=int, default=4)
-    stream.add_argument("--sim-ms", type=int, default=20)
-    stream.set_defaults(func=_cmd_stream)
 
     trace = commands.add_parser(
         "trace", help="traced quickstart-scale run + scheme profile")

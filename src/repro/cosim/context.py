@@ -159,8 +159,8 @@ class ContextScheme:
             return context
         if context.parallel_safe and not dispatcher.attach_cpu(context.cpu):
             # Declined by the process backend (RTOS syscall handlers,
-            # MMIO, cache models, retire observers): planned serial for
-            # good.  When every context declined, the round is skipped.
+            # MMIO, retire observers): planned serial for good.  When
+            # every context declined, the round is skipped.
             context.parallel_safe = False
         else:
             self._pooled = True

@@ -151,8 +151,8 @@ class ParallelDispatcher:
         """Give *cpu* a process-backend execution worker if configured.
 
         Returns False when the process backend declines the fork
-        (:func:`attach_remote`: MMIO, cache models, retire observers,
-        syscall handlers, no fork).  Such a CPU could only execute on a
+        (:func:`attach_remote`: MMIO, retire observers, syscall
+        handlers, no fork).  Such a CPU could only execute on a
         GIL-bound pool thread, so its scheme plans it serial.  Under
         the thread backend every CPU may go to the pool: True.
         """

@@ -344,7 +344,8 @@ def _c_lw(d, pc, next_pc):
         address = (regs[rs1] + imm) & _WORD
         value = memory.load_word(address)
         regs[rd] = value
-        return 2 + cpu._note_access(address, False, value)
+        cpu._note_access(address, False, value)
+        return 2
     return op, True
 
 
@@ -357,7 +358,8 @@ def _c_lb(d, pc, next_pc):
         value = isa.to_unsigned32(
             isa.sign_extend(memory.load_byte(address), 8))
         regs[rd] = value
-        return 2 + cpu._note_access(address, False, value)
+        cpu._note_access(address, False, value)
+        return 2
     return op, True
 
 
@@ -369,7 +371,8 @@ def _c_lbu(d, pc, next_pc):
         address = (regs[rs1] + imm) & _WORD
         value = memory.load_byte(address)
         regs[rd] = value
-        return 2 + cpu._note_access(address, False, value)
+        cpu._note_access(address, False, value)
+        return 2
     return op, True
 
 
@@ -380,7 +383,8 @@ def _c_sw(d, pc, next_pc):
         cpu.pc = next_pc
         address = (regs[rs1] + imm) & _WORD
         memory.store_word(address, regs[rd])
-        return 2 + cpu._note_access(address, True, regs[rd])
+        cpu._note_access(address, True, regs[rd])
+        return 2
     return op, True
 
 
@@ -392,7 +396,8 @@ def _c_sb(d, pc, next_pc):
         address = (regs[rs1] + imm) & _WORD
         value = regs[rd] & 0xFF
         memory.store_byte(address, value)
-        return 2 + cpu._note_access(address, True, value)
+        cpu._note_access(address, True, value)
+        return 2
     return op, True
 
 

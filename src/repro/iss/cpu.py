@@ -113,8 +113,6 @@ class Cpu:
         self.superblock_invalidations = 0
         self.superblock_side_exits = 0  # exits through a guard, not the end
         self.side_exit_sites = {}       # superblock start pc -> side exits
-        self._icache = None             # optional timing models
-        self._dcache = None
         self._observers = []            # retire-callback observers
         self._resume_skip = None        # bp address we are stepping past
         self._watch_hit = None          # (watchpoint, address, value, is_write)
@@ -143,14 +141,6 @@ class Cpu:
     @lr.setter
     def lr(self, value):
         self.regs[REG_LR] = value & _WORD
-
-    def read_reg(self, index):
-        """Read general-purpose register *index*."""
-        return self.regs[index]
-
-    def write_reg(self, index, value):
-        """Write general-purpose register *index* (masked to 32 bits)."""
-        self.regs[index] = value & _WORD
 
     # -- execution tiers -------------------------------------------------------
 
@@ -329,24 +319,6 @@ class Cpu:
         """Remove a retire observer."""
         self._observers.remove(observer)
 
-    def attach_icache(self, cache):
-        """Install an instruction-cache timing model; returns it."""
-        self._icache = cache
-        return cache
-
-    def attach_dcache(self, cache):
-        """Install a data-cache timing model; returns it."""
-        self._dcache = cache
-        return cache
-
-    @property
-    def icache(self):
-        return self._icache
-
-    @property
-    def dcache(self):
-        return self._dcache
-
     def raise_irq(self, vector=0):
         """Assert the external interrupt line (host hardware side)."""
         self.irq_pending = True
@@ -362,7 +334,7 @@ class Cpu:
         """Capture full architectural state (registers, pc, counters,
         memory) for later :meth:`restore` — checkpoint/replay debugging.
 
-        Host-side attachments (breakpoints, syscall handlers, caches,
+        Host-side attachments (breakpoints, syscall handlers,
         observers) are configuration, not architectural state, and are
         not captured."""
         return {
@@ -414,10 +386,9 @@ class Cpu:
 
         Execution normally takes the closure-compiled basic-block fast
         path (:mod:`repro.iss.blocks`); the legacy per-instruction
-        interpreter remains for timing models (icache/dcache), retire
-        observers, and as the reference in differential tests (set
-        ``use_blocks = False``).  Both paths are observationally
-        equivalent.
+        interpreter remains for retire observers and as the reference
+        in differential tests (set ``use_blocks = False``).  Both paths
+        are observationally equivalent.
         """
         if self._remote is not None:
             return self._remote.run(max_instructions, max_cycles)
@@ -425,8 +396,7 @@ class Cpu:
         instruction_limit = (None if max_instructions is None
                              else self.instructions + max_instructions)
         self._watch_hit = None
-        if (self.use_blocks and self._icache is None
-                and self._dcache is None and not self._observers):
+        if self.use_blocks and not self._observers:
             return self._run_blocks(instruction_limit, cycle_limit)
         return self._run_interpreter(instruction_limit, cycle_limit)
 
@@ -647,8 +617,6 @@ class Cpu:
             spec = decoded.spec
             self.pc = (pc + 4) & _WORD
             cycles = spec.cycles
-            if self._icache is not None:
-                cycles += self._icache.access(pc)
             name = spec.name
             # -- ALU and move ------------------------------------------------
             if name == "add":
@@ -660,11 +628,11 @@ class Cpu:
             elif name == "lw":
                 address = (regs[decoded.rs1] + decoded.imm) & _WORD
                 regs[decoded.rd] = memory.load_word(address)
-                cycles += self._note_access(address, False, regs[decoded.rd])
+                self._note_access(address, False, regs[decoded.rd])
             elif name == "sw":
                 address = (regs[decoded.rs1] + decoded.imm) & _WORD
                 memory.store_word(address, regs[decoded.rd])
-                cycles += self._note_access(address, True, regs[decoded.rd])
+                self._note_access(address, True, regs[decoded.rd])
             elif name in _BRANCHES:
                 if _BRANCHES[name](regs[decoded.rs1], regs[decoded.rs2]):
                     self.pc = (pc + 4 + 4 * decoded.imm) & _WORD
@@ -724,16 +692,15 @@ class Cpu:
                 address = (regs[decoded.rs1] + decoded.imm) & _WORD
                 regs[decoded.rd] = isa.to_unsigned32(
                     isa.sign_extend(memory.load_byte(address), 8))
-                cycles += self._note_access(address, False, regs[decoded.rd])
+                self._note_access(address, False, regs[decoded.rd])
             elif name == "lbu":
                 address = (regs[decoded.rs1] + decoded.imm) & _WORD
                 regs[decoded.rd] = memory.load_byte(address)
-                cycles += self._note_access(address, False, regs[decoded.rd])
+                self._note_access(address, False, regs[decoded.rd])
             elif name == "sb":
                 address = (regs[decoded.rs1] + decoded.imm) & _WORD
                 memory.store_byte(address, regs[decoded.rd] & 0xFF)
-                cycles += self._note_access(address, True,
-                                            regs[decoded.rd] & 0xFF)
+                self._note_access(address, True, regs[decoded.rd] & 0xFF)
             # -- control flow -------------------------------------------------
             elif name == "jmp":
                 self.pc = (pc + 4 + 4 * decoded.imm) & _WORD
@@ -790,14 +757,10 @@ class Cpu:
         self._resume_skip = self.pc
 
     def _note_access(self, address, is_write, value):
-        extra = 0
-        if self._dcache is not None:
-            extra = self._dcache.access(address)
         if self.breakpoints.has_watchpoints:
             watchpoint = self.breakpoints.check_access(address, is_write)
             if watchpoint is not None:
                 self._watch_hit = (watchpoint, address, value, is_write)
-        return extra
 
     def _stop(self, reason):
         self._last_stop = reason

@@ -30,8 +30,8 @@ client, ports, metrics — stays in the SystemC process:
 
 The backend degrades safely: :func:`attach_remote` returns ``None``
 when fork is unavailable, the memory has MMIO regions, or the CPU
-carries host-side attachments (timing caches, retire observers,
-syscall handlers) that cannot cross a process boundary faithfully.
+carries host-side attachments (retire observers, syscall handlers)
+that cannot cross a process boundary faithfully.
 """
 
 import multiprocessing
@@ -283,8 +283,8 @@ def attach_remote(cpu, timeout=DEFAULT_TIMEOUT):
 
     Returns ``None`` (leaving the CPU untouched) when process execution
     cannot be faithful: no ``fork`` start method, MMIO regions (their
-    handlers live in the master), timing caches, retire observers, or
-    registered syscall handlers (they may close over master state).
+    handlers live in the master), retire observers, or registered
+    syscall handlers (they may close over master state).
     Must be called before the CPU has started executing so the worker's
     caches warm up exactly like a serial run's.
     """
@@ -293,8 +293,7 @@ def attach_remote(cpu, timeout=DEFAULT_TIMEOUT):
     if os.name != "posix" or \
             "fork" not in multiprocessing.get_all_start_methods():
         return None   # pragma: no cover - non-posix host
-    if cpu.memory.regions or cpu._icache is not None \
-            or cpu._dcache is not None or cpu._observers:
+    if cpu.memory.regions or cpu._observers:
         return None
     if getattr(cpu.syscalls, "_handlers", None):
         return None

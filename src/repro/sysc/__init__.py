@@ -14,18 +14,15 @@ from repro.sysc.process import Process, ProcessKind
 from repro.sysc.signal import Signal
 from repro.sysc.port import InPort, OutPort
 from repro.sysc.fifo import Fifo
-from repro.sysc.sync import Mutex, Semaphore
 from repro.sysc.clock import Clock
 from repro.sysc.module import Module
 from repro.sysc.kernel import Kernel, current_kernel, set_current_kernel
 from repro.sysc.hooks import KernelHook
 from repro.sysc.trace import VcdTrace
-from repro.sysc.report import Report, Severity
 
 __all__ = [
     "FS", "PS", "NS", "US", "MS", "SEC", "format_time",
     "Event", "Process", "ProcessKind", "Signal", "InPort", "OutPort",
-    "Fifo", "Mutex", "Semaphore", "Clock", "Module", "Kernel",
-    "current_kernel",
-    "set_current_kernel", "KernelHook", "VcdTrace", "Report", "Severity",
+    "Fifo", "Clock", "Module", "Kernel", "current_kernel",
+    "set_current_kernel", "KernelHook", "VcdTrace",
 ]

@@ -43,11 +43,6 @@ class Event:
         if process not in self._static_waiters:
             self._static_waiters.append(process)
 
-    def remove_static(self, process):
-        """Remove a static waiter (no-op if absent)."""
-        if process in self._static_waiters:
-            self._static_waiters.remove(process)
-
     def add_dynamic(self, process):
         """Register a one-shot (dynamic) waiter."""
         if process not in self._dynamic_waiters:

@@ -38,8 +38,6 @@ CPU_OUTSIDE_DECLARATIONS = {
     "block_trace": "trace configuration, from the tracer",
     "syscalls": "wiring: host trap handlers",
     "tracer": "wiring",
-    "_icache": "wiring: optional timing model",
-    "_dcache": "wiring: optional timing model",
     "_observers": "wiring: retire observers",
     "_remote": "wiring: process-backend proxy",
     "_decode_cache": "cache, rebuilt on demand",

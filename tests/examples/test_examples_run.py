@@ -37,11 +37,8 @@ CASES = [
     ("debugger_session.py", [], "fibonacci table read over RSP"),
     ("interrupt_latency.py", [], "Latency grows with the RTOS cost"),
     ("mpsoc_heterogeneous.py", [], "core1 running sum"),
-    ("bus_soc.py", [], "consumer accumulated: 55"),
     ("sw_timing_analysis.py", [], "guest cycle profile by function"),
     ("waveform_trace.py", ["{tmp}/router.vcd"], "wrote"),
-    ("dsp_stream.py", [], "0 mismatches"),
-    ("remote_debug_server.py", [], "demo session transcript"),
 ]
 
 

@@ -56,12 +56,6 @@ class TestCli:
         assert code == 0
         assert out_file.read_text().startswith("# Reproduction report")
 
-    def test_stream_command(self, capsys):
-        code = main(["stream", "--samples", "64", "--sim-ms", "10"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "mismatches=0" in out
-
     def test_trace_text(self, capsys):
         code = main(["trace", "--scheme", "gdb-kernel", "--sim-us", "40",
                      "--limit", "5"])
@@ -104,12 +98,6 @@ class TestCli:
         assert "seconds" in report["wall"]
         assert "wrote" in out
 
-    def test_stream_gdb_scheme(self, capsys):
-        code = main(["stream", "--scheme", "gdb-kernel", "--samples",
-                     "32", "--sim-ms", "10"])
-        assert code == 0
-        assert "scheme=gdb-kernel" in capsys.readouterr().out
-
     def test_trace_json_carries_metadata_header(self, capsys):
         import json
 
@@ -140,6 +128,10 @@ class TestCli:
     def test_spans_perfetto_to_file(self, tmp_path, capsys):
         import json
 
+        from repro.obs.scenarios import (quickstart_config,
+                                         run_traced_scenario)
+        from repro.obs.spans import perfetto_spans_json, spans_from_tracer
+
         out_file = tmp_path / "spans.json"
         code = main(["spans", "--scheme", "gdb-kernel", "--sim-us", "40",
                      "--format", "perfetto", "-o", str(out_file)])
@@ -148,6 +140,10 @@ class TestCli:
         data = json.loads(out_file.read_text())
         phases = {event.get("ph") for event in data["traceEvents"]}
         assert "b" in phases                # async begin slices
+        run = run_traced_scenario(
+            quickstart_config("gdb-kernel", seed=7, sync_quantum=1), 40)
+        assert out_file.read_text() == perfetto_spans_json(
+            spans_from_tracer(run.tracer))
 
     def test_health_clean_run_exits_zero(self, capsys):
         code = main(["health", "--scheme", "driver-kernel",
